@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import random
-import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .darboux import (
+    HARD_DEGREE_CAP,
     PENCIL_SAMPLING_NOTE,
     CofactorTemplate,
     DarbouxCert,
@@ -43,6 +43,7 @@ from .fieldspec import (
     hsa_params_of,
     parse_expression,
     parse_field,
+    parse_rational_literal,
 )
 from .numerics import (
     ConstraintError,
@@ -60,18 +61,17 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DOMAIN = 3
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
-
 F2_WINNER_TOLERANCE = 1e-6
 F2_LOSER_THRESHOLD = 1e-3
 
 
 def rational_flag(text: str) -> Fraction:
-    if not _RATIONAL_RE.match(text.strip()):
+    try:
+        return parse_rational_literal(text)
+    except ParseError:
         raise argparse.ArgumentTypeError(
             f"expected an integer or p/q rational literal, got {text!r}"
-        )
-    return Fraction(text.strip())
+        ) from None
 
 
 def x0_flag(text: str) -> tuple[float, float, float]:
@@ -255,9 +255,10 @@ def _resolve_model(args) -> FieldDef:
         if "=" not in item:
             raise CliError(f"--param expects NAME=VALUE, got {item!r}")
         name, value = item.split("=", 1)
-        if not _RATIONAL_RE.match(value.strip()):
-            raise CliError(f"--param {name}: expected a rational literal, got {value!r}")
-        bindings[name.strip()] = Fraction(value.strip())
+        try:
+            bindings[name.strip()] = parse_rational_literal(value)
+        except ParseError:
+            raise CliError(f"--param {name}: expected a rational literal, got {value!r}") from None
     path = Path(args.field)
     try:
         text = path.read_text()
@@ -319,8 +320,10 @@ def _emit_json(args, report: dict) -> None:
 def _require_degree(degree: int) -> None:
     if degree < 1:
         raise CliError("--degree must be >= 1")
-    if degree > 6:
-        raise CliError("--degree is capped at 6 (exact pencils grow too fast beyond that)")
+    if degree > HARD_DEGREE_CAP:
+        raise CliError(
+            f"--degree is capped at {HARD_DEGREE_CAP} (exact pencils grow too fast beyond that)"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +433,23 @@ def cmd_search_expfactors(args) -> int:
     return EXIT_OK
 
 
+def _cert_from_block(blk) -> DarbouxCert:
+    try:
+        kind, primitive = blk["kind"], blk["primitive"]
+        body, cofactor = blk["body"]["text"], blk["cofactor"]["text"]
+    except (KeyError, TypeError):
+        raise CliError(
+            "--from: a certificate block needs kind, body.text, cofactor.text and primitive"
+        ) from None
+    if kind not in ("polynomial", "exp_factor"):
+        raise CliError(f"--from: unknown certificate kind {kind!r}")
+    if not (isinstance(body, str) and isinstance(cofactor, str)):
+        raise CliError("--from: certificate body.text and cofactor.text must be strings")
+    body_poly = parse_expression(body)
+    cof = Cofactor.from_poly(parse_expression(cofactor))
+    return DarbouxCert(kind, body_poly, cof, blk.get("degree_bound_used", 0), primitive)
+
+
 def cmd_combine(args) -> int:
     cfg = RunConfig("combine", args)
     try:
@@ -446,13 +466,7 @@ def cmd_combine(args) -> int:
     cert_blocks = source.get("certificates")
     if cert_blocks is None:
         cert_blocks = source.get("darboux_polynomials", []) + source.get("exp_factors", [])
-    certs = []
-    for blk in cert_blocks:
-        body = parse_expression(blk["body"]["text"])
-        cof = Cofactor.from_poly(parse_expression(blk["cofactor"]["text"]))
-        certs.append(
-            DarbouxCert(blk["kind"], body, cof, blk.get("degree_bound_used", 0), blk["primitive"])
-        )
+    certs = [_cert_from_block(blk) for blk in cert_blocks]
     if not certs:
         raise CliError("--from: report carries no certificates")
     primitive = [c for c in certs if c.primitive]

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import PencilMatrix, QMatrix, UniPoly, null_space, pencil_rank_drop
+from .exactmath import PencilMatrix, QMatrix, null_space, pencil_rank_drop
 from .fieldspec import FieldDef, hsa_params_of, lie_derivative
 from .polyring import Cofactor, Monomial, Poly, monomials_up_to, poly_from_coeff_vector
 
@@ -31,14 +31,6 @@ PENCIL_SAMPLING_NOTE = (
     "accumulated until it is constant or unchanged for 3 consecutive fresh minors; "
     "all rational candidates are re-verified exactly"
 )
-
-_SLOT_MONOMIAL = {
-    "b0": Monomial(0, 0, 0),
-    "b1": Monomial(1, 0, 0),
-    "b2": Monomial(0, 1, 0),
-    "b3": Monomial(0, 0, 1),
-}
-
 
 @dataclass(frozen=True)
 class DarbouxCert:
@@ -77,7 +69,7 @@ class CofactorTemplate:
         seen: list[str] = [s for s, _ in fixed] + [s for s, _ in enumerated]
         if self.eigen is not None:
             seen.append(self.eigen)
-        if sorted(seen) != ["b0", "b1", "b2", "b3"]:
+        if sorted(seen) != sorted(Cofactor.SLOT_MONOMIAL):
             raise ValueError(
                 "template must assign each of b0..b3 to exactly one of "
                 f"fixed/eigen/enumerated, got {sorted(seen)}"
@@ -92,9 +84,6 @@ class CofactorTemplate:
             eigen="b0",
             enumerated=(("b2", sweep),),
         )
-
-    def eigen_count(self) -> int:
-        return 0 if self.eigen is None else 1
 
 
 @dataclass(frozen=True)
@@ -156,24 +145,49 @@ def verify_exp_factor_rational(f: FieldDef, g: Poly, h: Poly, l: Cofactor) -> bo
 # ---------------------------------------------------------------------------
 
 
-def _codomain_degree(f: FieldDef, bound: int) -> int:
-    return max(bound + 1, bound - 1 + max(f.max_degree(), 0), 1)
+def _coefficient_spaces(
+    f: FieldDef, degree_bound: int, min_degree: int
+) -> tuple[list[Monomial], dict[Monomial, int]]:
+    """The domain monomials (degree min_degree..bound) and the row index of
+    the codomain monomials, which span X(h) and K*h for every domain h."""
+    if degree_bound < 1:
+        raise ValueError("degree bound must be >= 1")
+    top = max(degree_bound + 1, degree_bound - 1 + max(f.max_degree(), 0), 1)
+    index = {m: i for i, m in enumerate(monomials_up_to(top))}
+    return monomials_up_to(degree_bound, min_degree), index
 
 
-def _poly_to_column(p: Poly, index: dict[Monomial, int], rows: int) -> list[Fraction]:
-    col = [Fraction(0)] * rows
-    for m, c in p.terms.items():
-        col[index[m]] = c
-    return col
+def _lie_matrix(f: FieldDef, domain: list[Monomial], index: dict[Monomial, int]) -> list[Fraction]:
+    """Row-major matrix of h -> X(h), from the domain monomials to the
+    codomain rows named by index."""
+    cols = len(domain)
+    mat = [Fraction(0)] * (len(index) * cols)
+    for j, m in enumerate(domain):
+        for mono, c in lie_derivative(f, Poly.term(m, 1)).terms.items():
+            mat[index[mono] * cols + j] = c
+    return mat
 
 
-def _columns_to_qmatrix(columns: list[list[Fraction]], rows: int) -> QMatrix:
-    entries = [Fraction(0)] * (rows * len(columns))
-    for j, col in enumerate(columns):
-        for i, v in enumerate(col):
-            if v:
-                entries[i * len(columns) + j] = v
-    return QMatrix(rows, len(columns), entries)
+def _slot_rows(domain: list[Monomial], index: dict[Monomial, int]) -> dict[str, list[int]]:
+    """For each cofactor slot, the codomain row of (slot monomial)*m for
+    every domain monomial m: the matrix of h -> (slot monomial)*h."""
+    return {
+        slot: [index[Monomial(*(a + b for a, b in zip(mono, m)))] for m in domain]
+        for slot, mono in Cofactor.SLOT_MONOMIAL.items()
+    }
+
+
+def _minus_cofactor(
+    mat: list[Fraction], cols: int, slot_rows: dict[str, list[int]], coords: dict[str, Fraction]
+) -> list[Fraction]:
+    """A copy of the row-major matrix mat minus the matrix of
+    h -> sum(coords[slot] * slot monomial) * h."""
+    out = list(mat)
+    for slot, v in coords.items():
+        if v:
+            for j, i in enumerate(slot_rows[slot]):
+                out[i * cols + j] -= v
+    return out
 
 
 def search_darboux_fixed(f: FieldDef, k: Cofactor, degree_bound: int) -> list[Poly]:
@@ -182,21 +196,13 @@ def search_darboux_fixed(f: FieldDef, k: Cofactor, degree_bound: int) -> list[Po
     With K = 0 this is the polynomial first integral search; constants are
     quotiented out in that case (they satisfy the relation trivially).
     """
-    if degree_bound < 1:
-        raise ValueError("degree bound must be >= 1")
-    min_deg = 1 if k.is_zero() else 0
-    domain = monomials_up_to(degree_bound, min_deg)
-    codomain = monomials_up_to(_codomain_degree(f, degree_bound))
-    index = {m: i for i, m in enumerate(codomain)}
-    kp = k.as_poly()
-    cols = []
-    for m in domain:
-        hm = Poly.term(m, 1)
-        image = lie_derivative(f, hm) - kp * hm
-        cols.append(_poly_to_column(image, index, len(codomain)))
-    mat = _columns_to_qmatrix(cols, len(codomain))
+    domain, index = _coefficient_spaces(f, degree_bound, 1 if k.is_zero() else 0)
+    coords = dict(zip(Cofactor.SLOT_MONOMIAL, k.coordinates()))
+    entries = _minus_cofactor(
+        _lie_matrix(f, domain, index), len(domain), _slot_rows(domain, index), coords
+    )
     out = []
-    for v in null_space(mat):
+    for v in null_space(QMatrix(len(index), len(domain), entries)):
         p = poly_from_coeff_vector(v.column(0), domain).normalized()
         out.append(p)
     out.sort(key=lambda p: p.degree)  # stable: discovery order within a degree
@@ -207,24 +213,19 @@ def search_exp_factors(f: FieldDef, degree_bound: int) -> list[DarbouxCert]:
     """All exponential factors e^g with deg g <= bound and a degree <= 1
     cofactor, modulo constants, from one exact null-space computation on the
     joint linear system in (coefficients of g, b0..b3)."""
-    if degree_bound < 1:
-        raise ValueError("degree bound must be >= 1")
-    domain = monomials_up_to(degree_bound, 1)  # g modulo constants
-    codomain = monomials_up_to(_codomain_degree(f, degree_bound))
-    index = {m: i for i, m in enumerate(codomain)}
-    rows = len(codomain)
-    cols = []
-    for m in domain:
-        cols.append(_poly_to_column(lie_derivative(f, Poly.term(m, 1)), index, rows))
-    for slot in ("b0", "b1", "b2", "b3"):
-        cols.append(_poly_to_column(Poly.term(_SLOT_MONOMIAL[slot], -1), index, rows))
-    mat = _columns_to_qmatrix(cols, rows)
-    certs = []
+    domain, index = _coefficient_spaces(f, degree_bound, 1)  # g modulo constants
     ng = len(domain)
+    lie = _lie_matrix(f, domain, index)
+    entries = []
+    for m, i in index.items():
+        entries += lie[i * ng : (i + 1) * ng]
+        entries += [Fraction(-1 if m == mono else 0) for mono in Cofactor.SLOT_MONOMIAL.values()]
+    mat = QMatrix(len(index), ng + 4, entries)
+    certs = []
     for v in null_space(mat):
         vec = v.column(0)
         g = poly_from_coeff_vector(vec[:ng], domain)
-        l = Cofactor(vec[ng], vec[ng + 1], vec[ng + 2], vec[ng + 3])
+        l = Cofactor(*vec[ng:])
         if g.is_zero():
             continue  # only the (0, 0) pair, excluded by definition
         _, lead = g.leading()
@@ -249,59 +250,38 @@ def search_darboux_pencil(
     For each assignment of the enumerated slots, the relation X(h) = K*h with
     the eigen slot as unknown t becomes the pencil A - t*B, where A maps h to
     X(h) - (pinned part of K)*h and B multiplies h by the eigen slot's
-    monomial. Rational rank-drop values of t are found by pencil_rank_drop,
-    each kernel vector is re-verified, and parametric cells are reported in
-    the returned notes instead of being enumerated.
+    monomial. The Lie matrix and the slot multiplications are assembled once;
+    each cell only subtracts its pinned slots. Rational rank-drop values of t
+    and their kernels are found by pencil_rank_drop, each kernel vector is
+    re-verified, and parametric cells are reported in the returned notes
+    instead of being enumerated.
     """
-    if degree_bound < 1:
-        raise ValueError("degree bound must be >= 1")
-    if template.eigen_count() != 1:
+    domain, index = _coefficient_spaces(f, degree_bound, 0)
+    if template.eigen is None:
         raise ValueError("template must have exactly one eigen slot")
     rng = rng if rng is not None else random.Random(0)
 
-    domain = monomials_up_to(degree_bound, 0)
-    codomain = monomials_up_to(_codomain_degree(f, degree_bound))
-    index = {m: i for i, m in enumerate(codomain)}
-    rows = len(codomain)
-    eigen_mono = _SLOT_MONOMIAL[template.eigen]
-
-    lie_cols = []
-    bcols = []
-    for m in domain:
-        hm = Poly.term(m, 1)
-        lie_cols.append(_poly_to_column(lie_derivative(f, hm), index, rows))
-        bcols.append(_poly_to_column(Poly.term(Monomial(*[a + b for a, b in zip(eigen_mono, m)]), 1), index, rows))
+    rows, cols = len(index), len(domain)
+    lie = _lie_matrix(f, domain, index)
+    slot_rows = _slot_rows(domain, index)
+    minus_b = _minus_cofactor([Fraction(0)] * (rows * cols), cols, slot_rows, {template.eigen: 1})
 
     notes: list[str] = []
     certs: list[DarbouxCert] = []
     seen: set[tuple] = set()
     sweep_slots = [s for s, _ in template.enumerated]
     sweep_values = [vals for _, vals in template.enumerated]
-    for assignment in itertools.product(*sweep_values) if sweep_slots else [()]:
+    for assignment in itertools.product(*sweep_values):
         pinned = dict(template.fixed)
         pinned.update(zip(sweep_slots, assignment))
-        k_fixed = Cofactor(
-            pinned.get("b0", Fraction(0)),
-            pinned.get("b1", Fraction(0)),
-            pinned.get("b2", Fraction(0)),
-            pinned.get("b3", Fraction(0)),
-        )
         cell_name = ", ".join(f"{s}={v}" for s, v in sorted(pinned.items()))
-        kp = k_fixed.as_poly()
-        entries: list[UniPoly] = []
-        acols = []
-        for j, m in enumerate(domain):
-            prod_col = _poly_to_column(kp * Poly.term(m, 1), index, rows)
-            acols.append([a - b for a, b in zip(lie_cols[j], prod_col)])
-        for i in range(rows):
-            for j in range(len(domain)):
-                entries.append(UniPoly.linear(acols[j][i], -bcols[j][i]))
-        pencil = PencilMatrix(rows, len(domain), entries)
+        a = _minus_cofactor(lie, cols, slot_rows, pinned)
+        pencil = PencilMatrix.from_parts(rows, cols, a, minus_b)
         result = pencil_rank_drop(pencil, rng=rng)
         if result.parametric:
             notes.append(
                 f"cell ({cell_name}): kernel exists for every eigen value "
-                f"(generic rank {result.generic_rank} < {len(domain)}); parametric family not enumerated"
+                f"(generic rank {result.generic_rank} < {cols}); parametric family not enumerated"
             )
             continue
         if result.residual.degree > 0:
@@ -309,17 +289,9 @@ def search_darboux_pencil(
                 f"cell ({cell_name}): nonconstant residual {result.residual}; "
                 "possible irrational or complex eigen values not resolved"
             )
-        for t0 in result.candidates:
-            coords = dict(pinned)
-            coords[template.eigen] = t0
-            k_full = Cofactor(
-                coords.get("b0", Fraction(0)),
-                coords.get("b1", Fraction(0)),
-                coords.get("b2", Fraction(0)),
-                coords.get("b3", Fraction(0)),
-            )
-            sub = pencil.substitute(t0)
-            for v in null_space(sub):
+        for t0, kernel in zip(result.candidates, result.kernels):
+            k_full = Cofactor(**pinned, **{template.eigen: t0})
+            for v in kernel:
                 h = poly_from_coeff_vector(v.column(0), domain)
                 if h.degree < 1:
                     continue  # constants are not Darboux polynomials

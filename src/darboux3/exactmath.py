@@ -13,8 +13,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
-
 # Divisor-pair budget for rational root candidates before switching to a
 # full factorization of the polynomial.
 _ROOT_CANDIDATE_CAP = 20_000
@@ -118,18 +116,23 @@ def null_space(m: QMatrix) -> list[QMatrix]:
     """Basis of the right kernel {v : m.v = 0}, each vector scaled so its
     first nonzero entry is 1. Empty list for a trivial kernel."""
     reduced, pivots, _ = rref(m)
+    return _kernel_basis(reduced, pivots)
+
+
+def _kernel_basis(reduced: QMatrix, pivots: tuple[int, ...]) -> list[QMatrix]:
+    """null_space read off an rref result."""
     pivot_set = set(pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
+    free_cols = [c for c in range(reduced.cols) if c not in pivot_set]
     basis = []
     for f in free_cols:
-        v = [Fraction(0)] * m.cols
+        v = [Fraction(0)] * reduced.cols
         v[f] = Fraction(1)
         for r_i, p_c in enumerate(pivots):
             v[p_c] = -reduced.at(r_i, f)
         lead = next(e for e in v if e != 0)
         if lead != 1:
             v = [e / lead for e in v]
-        basis.append(QMatrix(m.cols, 1, v))
+        basis.append(QMatrix(reduced.cols, 1, v))
     return basis
 
 
@@ -166,19 +169,6 @@ class UniPoly:
             acc = acc * t0 + c
         return acc
 
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            [
-                (self.coeffs[i] if i < len(self.coeffs) else 0)
-                + (other.coeffs[i] if i < len(other.coeffs) else 0)
-                for i in range(n)
-            ]
-        )
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + other.scale(-1)
-
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         if self.is_zero() or other.is_zero():
             return UniPoly()
@@ -189,10 +179,6 @@ class UniPoly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return UniPoly(out)
-
-    def scale(self, k) -> "UniPoly":
-        k = Fraction(k)
-        return UniPoly([c * k for c in self.coeffs])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
@@ -227,26 +213,35 @@ class UniPoly:
 
 
 class PencilMatrix:
-    """Matrix of degree <= 1 polynomials in t, i.e. a linear pencil A - t*B."""
+    """Linear pencil A + t*B: A and B are row-major lists of Fractions, the
+    constant and t coefficients of each entry."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "a", "b")
 
     def __init__(self, rows: int, cols: int, entries) -> None:
+        """Build from entries that are UniPoly of degree <= 1 or constants."""
         entries = [e if isinstance(e, UniPoly) else UniPoly.constant(e) for e in entries]
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
         if any(e.degree > 1 for e in entries):
             raise ValueError("pencil entries must have degree <= 1 in t")
+        coeffs = [e.coeffs + (Fraction(0),) * (2 - len(e.coeffs)) for e in entries]
         self.rows = rows
         self.cols = cols
-        self.entries = entries
+        self.a = [c[0] for c in coeffs]
+        self.b = [c[1] for c in coeffs]
 
-    def at(self, i: int, j: int) -> UniPoly:
-        return self.entries[i * self.cols + j]
+    @classmethod
+    def from_parts(cls, rows: int, cols: int, a: list, b: list) -> "PencilMatrix":
+        """Build from two row-major coefficient lists of rows*cols entries,
+        which are kept, not copied."""
+        p = cls.__new__(cls)
+        p.rows, p.cols, p.a, p.b = rows, cols, a, b
+        return p
 
     def substitute(self, t0) -> QMatrix:
         t0 = Fraction(t0)
-        return QMatrix(self.rows, self.cols, [e(t0) for e in self.entries])
+        return QMatrix(self.rows, self.cols, [x + t0 * y for x, y in zip(self.a, self.b)])
 
 
 @dataclass(frozen=True)
@@ -254,8 +249,9 @@ class PencilRankDrop:
     """Result of the pencil rank analysis.
 
     candidates holds every rational t0 at which the pencil loses column rank,
-    verified by exact substitution. residual is the part of the sampled minor
-    gcd that has no rational roots; a nonconstant residual flags possible
+    verified by exact substitution, and kernels the null space of the pencil
+    at each candidate, in the same order. residual is the part of the sampled
+    minor gcd that has no rational roots; a nonconstant residual flags possible
     irrational or complex rank-drop values that were not resolved.
     """
 
@@ -265,10 +261,7 @@ class PencilRankDrop:
     parametric: bool
     minors_sampled: int
     stop_reason: str
-
-    def __iter__(self):
-        # allows (rank, candidates, residual, parametric) unpacking
-        return iter((self.generic_rank, self.candidates, self.residual, self.parametric))
+    kernels: tuple[list[QMatrix], ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +352,6 @@ def _zp_gcd(a: list[int], b: list[int]) -> list[int]:
             r = _zp_trim(r)
         a, b = b, _zp_primitive(r)
     return _zp_primitive(a)
-
-
-def _zp_eval_int(p: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def _zp_is_root(p: list[int], num: int, den: int) -> bool:
@@ -470,23 +456,18 @@ def _pencil_to_int_rows(p: PencilMatrix) -> list[list[tuple[int, int]]]:
     unchanged, so downstream analysis is unaffected.
     """
     out = []
-    for i in range(p.rows):
-        ents = [p.at(i, j) for j in range(p.cols)]
-        den_lcm = 1
-        for e in ents:
-            for c in e.coeffs:
-                den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        row = []
-        for e in ents:
-            a = int((e.coeffs[0] if len(e.coeffs) > 0 else 0) * den_lcm)
-            b = int((e.coeffs[1] if len(e.coeffs) > 1 else 0) * den_lcm)
-            row.append((a, b))
-        out.append(row)
+    for lo in range(0, p.rows * p.cols, p.cols):
+        row_a, row_b = p.a[lo : lo + p.cols], p.b[lo : lo + p.cols]
+        den = math.lcm(*(c.denominator for c in row_a + row_b))
+        out.append([(int(x * den), int(y * den)) for x, y in zip(row_a, row_b)])
     return out
 
 
-def _eval_int_matrix(zrows: list[list[tuple[int, int]]], tau: int) -> list[list[int]]:
-    return [[a + b * tau for (a, b) in row] for row in zrows]
+def _random_evaluation(zrows: list[list[tuple[int, int]]], ncols: int, rng: random.Random):
+    """The pencil at a random integer t: (its rank there, the integer matrix)."""
+    tau = rng.randrange(100_003, 1_000_003)
+    mat = [[a + b * tau for (a, b) in row] for row in zrows]
+    return _int_elim_pivot_rows(mat, list(range(len(zrows))), ncols)[0], mat
 
 
 def _int_elim_pivot_rows(mat: list[list[int]], order: list[int], ncols: int):
@@ -655,31 +636,24 @@ def pencil_rank_drop(
     zrows = [zrows[i] for i in keep]
     nrows = len(zrows)
 
-    tau = None
     mat_tau = None
     generic_rank = 0
     if nrows >= p.cols:
         for _attempt in range(3):
-            cand_tau = rng.randrange(100_003, 1_000_003)
-            mat = _eval_int_matrix(zrows, cand_tau)
-            rank, _ = _int_elim_pivot_rows(mat, list(range(nrows)), p.cols)
+            rank, mat = _random_evaluation(zrows, p.cols, rng)
             generic_rank = max(generic_rank, rank)
             if rank == p.cols:
-                tau = cand_tau
                 mat_tau = mat
                 break
-    if tau is None:
+    if mat_tau is None:
         generic_rank = _poly_matrix_rank(zrows, p.cols)
         if generic_rank < p.cols:
             return PencilRankDrop(
                 generic_rank, (), UniPoly(), True, 0, "generic rank below column count"
             )
-        while tau is None:  # unlucky evaluations; only finitely many bad points
-            cand_tau = rng.randrange(100_003, 1_000_003)
-            mat = _eval_int_matrix(zrows, cand_tau)
-            rank, _ = _int_elim_pivot_rows(mat, list(range(nrows)), p.cols)
+        while mat_tau is None:  # unlucky evaluations; only finitely many bad points
+            rank, mat = _random_evaluation(zrows, p.cols, rng)
             if rank == p.cols:
-                tau = cand_tau
                 mat_tau = mat
 
     gcd_acc: list[int] | None = None
@@ -710,11 +684,12 @@ def pencil_rank_drop(
 
     assert gcd_acc is not None
     roots = _zp_rational_roots(gcd_acc) if len(gcd_acc) > 1 else []
-    candidates = []
+    candidates, kernels = [], []
     for r in roots:
-        _, _, rank_r = rref(p.substitute(r))
+        reduced, pivots, rank_r = rref(p.substitute(r))
         if rank_r < p.cols:
             candidates.append(r)
+            kernels.append(_kernel_basis(reduced, pivots))
     residual = list(gcd_acc)
     for r in roots:
         lin = [-r.numerator, r.denominator]
@@ -728,4 +703,5 @@ def pencil_rank_drop(
         False,
         sampled,
         stop_reason,
+        tuple(kernels),
     )

@@ -34,6 +34,7 @@ __all__ = [
     "build_hsa",
     "parse_expression",
     "parse_field",
+    "parse_rational_literal",
     "field_to_text",
     "lie_derivative",
     "hsa_params_of",
@@ -72,12 +73,6 @@ class HsaParams:
 
     def alpha_nonzero(self) -> bool:
         return self.alpha != 0
-
-    def beta_zero(self) -> bool:
-        return self.beta == 0
-
-    def kappa_nonzero(self) -> bool:
-        return self.kappa != 0
 
     def alpha_matches_kappa(self) -> bool:
         """alpha == -kappa*(kappa - 1), the resonance regime."""
@@ -286,13 +281,14 @@ def parse_expression(text: str, bindings: dict[str, Fraction] | None = None) -> 
 _RATIONAL_LITERAL_RE = re.compile(r"^[+-]?\d+(?:\s*/\s*[1-9]\d*)?$")
 
 
-def _parse_rational_literal(text: str, pos_hint: int) -> Fraction:
+def parse_rational_literal(text: str, pos_hint: int = 0) -> Fraction:
+    """An integer or p/q literal, with optional spaces around '/'."""
     text = text.strip()
     if not _RATIONAL_LITERAL_RE.match(text):
         raise ParseError(
             f"bad rational literal {text!r}: expected an integer or p/q", pos_hint
         )
-    return Fraction(text.replace(" ", ""))
+    return Fraction("".join(text.split()))
 
 
 def parse_field(
@@ -317,7 +313,7 @@ def parse_field(
                     raise ParseError(f"bad parameter name {name!r}", offset)
                 if name in ("x", "y", "z"):
                     raise ParseError(f"parameter name {name!r} shadows a variable", offset)
-                params[name] = _parse_rational_literal(value, offset)
+                params[name] = parse_rational_literal(value, offset)
             elif "=" in line:
                 head, expr = line.split("=", 1)
                 head = head.strip()

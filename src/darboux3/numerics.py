@@ -17,10 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
 from .fieldspec import FieldDef, HsaParams, hsa_params_of
 from .polyring import Poly
+
+# scipy.integrate is imported inside the functions that use it, so importing
+# the package (and every symbolic CLI command) does not pay for it
 
 
 class DomainError(ValueError):
@@ -390,6 +392,8 @@ def _f2_series(traj: Trajectory, variant: str, c: float):
     of w is pinned to the sign of y - 1 at the start; the window ends where
     that sign flips, the w-bracket leaves (0, inf), or x crosses 0.
     """
+    from scipy.integrate import cumulative_simpson
+
     if variant not in ("paper", "corrected"):
         raise ValueError(f"unknown F2 variant {variant!r}")
     p = _require_hsa(traj)
@@ -577,9 +581,13 @@ def step_halving_study(
 
 def simpson_integral(values, times) -> float:
     """Composite Simpson integral of sampled values over the given grid."""
+    from scipy.integrate import simpson
+
     return float(simpson(np.asarray(values), x=np.asarray(times)))
 
 
 def cumulative_path_integral(values, times) -> np.ndarray:
     """Cumulative composite-Simpson integral, 0 at the first sample."""
+    from scipy.integrate import cumulative_simpson
+
     return cumulative_simpson(np.asarray(values), x=np.asarray(times), initial=0.0)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import ClassVar, Iterable, NamedTuple
 
 VARS = ("x", "y", "z")
 
@@ -277,14 +277,17 @@ def _coerce(v) -> Poly:
     raise TypeError(f"cannot coerce {type(v).__name__} to Poly")
 
 
-X = Poly.variable("x")
-Y = Poly.variable("y")
-Z = Poly.variable("z")
-
-
 @dataclass(frozen=True)
 class Cofactor:
     """Degree <= 1 polynomial b0 + b1*x + b2*y + b3*z."""
+
+    # the monomial each coordinate multiplies, in coordinate order
+    SLOT_MONOMIAL: ClassVar[dict[str, Monomial]] = {
+        "b0": MONOMIAL_ONE,
+        "b1": Monomial(1, 0, 0),
+        "b2": Monomial(0, 1, 0),
+        "b3": Monomial(0, 0, 1),
+    }
 
     b0: Fraction = Fraction(0)
     b1: Fraction = Fraction(0)
@@ -292,29 +295,17 @@ class Cofactor:
     b3: Fraction = Fraction(0)
 
     def __post_init__(self):
-        for slot in ("b0", "b1", "b2", "b3"):
+        for slot in self.SLOT_MONOMIAL:
             object.__setattr__(self, slot, Fraction(getattr(self, slot)))
 
     @classmethod
     def from_poly(cls, p: Poly) -> "Cofactor":
         if p.degree > 1:
             raise ValueError(f"cofactor must have degree <= 1, got {p}")
-        return cls(
-            p.coefficient(Monomial(0, 0, 0)),
-            p.coefficient(Monomial(1, 0, 0)),
-            p.coefficient(Monomial(0, 1, 0)),
-            p.coefficient(Monomial(0, 0, 1)),
-        )
+        return cls(**{s: p.coefficient(m) for s, m in cls.SLOT_MONOMIAL.items()})
 
     def as_poly(self) -> Poly:
-        return Poly(
-            {
-                Monomial(0, 0, 0): self.b0,
-                Monomial(1, 0, 0): self.b1,
-                Monomial(0, 1, 0): self.b2,
-                Monomial(0, 0, 1): self.b3,
-            }
-        )
+        return Poly({m: getattr(self, s) for s, m in self.SLOT_MONOMIAL.items()})
 
     def coordinates(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.b0, self.b1, self.b2, self.b3)

@@ -1,12 +1,22 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import darboux3
 from darboux3.cli import main
 
 HSA_1011 = ["hsa", "--alpha", "1", "--beta", "0", "--kappa", "1", "--lambda", "1"]
 HSA_1001 = ["hsa", "--alpha", "1", "--beta", "0", "--kappa", "0", "--lambda", "1"]
 HSA_1111 = ["hsa", "--alpha", "1", "--beta", "1", "--kappa", "1", "--lambda", "1"]
+
+
+def child_pythonpath() -> str:
+    """Import path for a child process: the darboux3 under test, not an installed one."""
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(darboux3.__file__)))
+    return os.pathsep.join(p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)
 
 
 def run_json(tmp_path, args, name="r.json"):
@@ -99,12 +109,13 @@ class TestModelValidation:
     def test_extra_param_flag(self, tmp_path):
         field = tmp_path / "f.txt"
         field.write_text("dx = c*x\ndy = y\ndz = z\n")
-        code, report = run_json(
-            tmp_path,
-            ["analyze", "--field", str(field), "--param", "c=3/2", "--degree", "1"],
-        )
-        assert code == 0
-        assert report["model"]["dx"] == "3/2*x"
+        for param in ("c=3/2", "c=3 / 2"):
+            code, report = run_json(
+                tmp_path,
+                ["analyze", "--field", str(field), "--param", param, "--degree", "1"],
+            )
+            assert code == 0
+            assert report["model"]["dx"] == "3/2*x"
 
 
 class TestVerifyCommand:
@@ -208,6 +219,20 @@ class TestCombineCommand:
 
     def test_missing_report(self):
         assert main(["combine", "--from", "/nonexistent.json"]) == 2
+
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda blk: blk.pop("body"), lambda blk: blk.update(kind="bogus")],
+        ids=["no-body", "unknown-kind"],
+    )
+    def test_malformed_certificate_block(self, tmp_path, capsys, damage):
+        run_json(tmp_path, ["analyze"] + HSA_1001 + ["--degree", "2"], name="analysis.json")
+        report = json.loads((tmp_path / "analysis.json").read_text())
+        damage(report["darboux_polynomials"][0])
+        (tmp_path / "bad.json").write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main(["combine", "--from", str(tmp_path / "bad.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: --from: ")
 
 
 class TestNumericCommands:
@@ -320,18 +345,8 @@ class TestFullDegreeAnalyze:
 
 class TestCrossProcessStability:
     def test_reports_stable_under_hash_randomization(self, tmp_path):
-        import os
-        import subprocess
-        import sys
-
-        import darboux3
-
         # Minimal environment: only the hash seed may differ between the runs.
-        # Import path from darboux3.__file__: the child runs this copy, not an installed one.
-        pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(darboux3.__file__)))
-        pythonpath = os.pathsep.join(
-            p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p
-        )
+        pythonpath = child_pythonpath()
         args = [
             sys.executable, "-m", "darboux3.cli",
             "analyze", "hsa", "--alpha", "1", "--beta", "0",
@@ -348,6 +363,17 @@ class TestCrossProcessStability:
             subprocess.run(args + ["--out", str(out)], check=True, env=env)
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        code = (
+            "import sys, darboux3.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": child_pythonpath()}
+        out = subprocess.run(
+            [sys.executable, "-c", code], check=True, env=env, capture_output=True, text=True
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_pencil_report_carries_sampling_note(self, tmp_path):
         code, report = run_json(tmp_path, ["search-darboux"] + HSA_1011 + ["--degree", "2"])

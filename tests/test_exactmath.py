@@ -126,8 +126,10 @@ class TestPencilRankDrop:
             3, 2, [lin(-1, 1), lin(0, 0), lin(0, 0), lin(-6, 2), lin(0, 0), lin(0, 0)]
         )
         res = pencil_rank_drop(p, rng=random.Random(7))
-        for t0 in res.candidates:
+        assert len(res.kernels) == len(res.candidates)
+        for t0, kernel in zip(res.candidates, res.kernels):
             assert null_space(p.substitute(t0))
+            assert kernel == null_space(p.substitute(t0))
 
     def test_deterministic_for_fixed_seed(self):
         p = PencilMatrix(2, 2, [lin(-1, 1), 0, 0, lin(-2, 1)])
@@ -200,9 +202,11 @@ def test_pencil_candidates_yield_kernels(p):
     if res.parametric:
         assert res.generic_rank < p.cols
         return
-    for t0 in res.candidates:
+    assert len(res.kernels) == len(res.candidates)
+    for t0, kernel in zip(res.candidates, res.kernels):
         vectors = null_space(p.substitute(t0))
         assert vectors, f"candidate {t0} has no kernel"
+        assert kernel == vectors
 
 
 @given(
