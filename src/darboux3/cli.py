@@ -456,17 +456,25 @@ def cmd_combine(args) -> int:
         source = json.loads(Path(args.from_report).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"--from: cannot load report: {exc}")
+    if not isinstance(source, dict):
+        raise CliError("--from: a report must be a JSON object")
     model = source.get("model")
     if not model:
         raise CliError("--from: report has no model block")
+    if not isinstance(model, dict) or not all(
+        isinstance(model.get(k), str) for k in ("dx", "dy", "dz")
+    ):
+        raise CliError("--from: the model block needs string dx, dy and dz")
     f = parse_field(
         f"dx = {model['dx']}\ndy = {model['dy']}\ndz = {model['dz']}\n",
         label=model.get("label", "from-report"),
     )
-    cert_blocks = source.get("certificates")
-    if cert_blocks is None:
-        cert_blocks = source.get("darboux_polynomials", []) + source.get("exp_factors", [])
-    certs = [_cert_from_block(blk) for blk in cert_blocks]
+    cert_lists = [source.get("certificates")]
+    if cert_lists[0] is None:
+        cert_lists = [source.get("darboux_polynomials", []), source.get("exp_factors", [])]
+    if not all(isinstance(blocks, list) for blocks in cert_lists):
+        raise CliError("--from: certificate lists must be JSON arrays")
+    certs = [_cert_from_block(blk) for blocks in cert_lists for blk in blocks]
     if not certs:
         raise CliError("--from: report carries no certificates")
     primitive = [c for c in certs if c.primitive]

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import PencilMatrix, QMatrix, null_space, pencil_rank_drop
+from .exactmath import MINOR_STABLE_AFTER, PencilMatrix, QMatrix, null_space, pencil_rank_drop
 from .fieldspec import FieldDef, hsa_params_of, lie_derivative
 from .polyring import Cofactor, Monomial, Poly, monomials_up_to, poly_from_coeff_vector
 
@@ -28,8 +28,8 @@ HARD_DEGREE_CAP = 6
 # audit line recorded in every pencil-search report
 PENCIL_SAMPLING_NOTE = (
     "pencil minor sampling: per cell, the gcd of randomly chosen maximal minors is "
-    "accumulated until it is constant or unchanged for 3 consecutive fresh minors; "
-    "all rational candidates are re-verified exactly"
+    f"accumulated until it is constant or unchanged for {MINOR_STABLE_AFTER} consecutive "
+    "fresh minors; all rational candidates are re-verified exactly"
 )
 
 @dataclass(frozen=True)

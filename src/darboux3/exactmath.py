@@ -8,6 +8,7 @@ eigen-cofactor search.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -287,12 +288,6 @@ def _zp_mul(a: list[int], b: list[int]) -> list[int]:
     return _zp_trim(out)
 
 
-def _zp_sub(a: list[int], b: list[int]) -> list[int]:
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
-    return _zp_trim(out)
-
-
 def _zp_divexact(a: list[int], b: list[int]) -> list[int]:
     """Exact division in Z[t]; raises if the division does not come out even."""
     if not a:
@@ -448,6 +443,11 @@ def rational_roots(p: UniPoly) -> list[Fraction]:
 # Pencil rank-drop machinery
 # ---------------------------------------------------------------------------
 
+# Minor sampling stops once the gcd is unchanged for MINOR_STABLE_AFTER
+# consecutive fresh minors, and after MINOR_SAMPLE_CAP minors at most.
+MINOR_STABLE_AFTER = 3
+MINOR_SAMPLE_CAP = 24
+
 
 def _pencil_to_int_rows(p: PencilMatrix) -> list[list[tuple[int, int]]]:
     """Clear denominators row by row; each entry becomes (a, b) for a + b*t.
@@ -463,25 +463,32 @@ def _pencil_to_int_rows(p: PencilMatrix) -> list[list[tuple[int, int]]]:
     return out
 
 
-def _random_evaluation(zrows: list[list[tuple[int, int]]], ncols: int, rng: random.Random):
-    """The pencil at a random integer t: (its rank there, the integer matrix)."""
-    tau = rng.randrange(100_003, 1_000_003)
-    mat = [[a + b * tau for (a, b) in row] for row in zrows]
-    return _int_elim_pivot_rows(mat, list(range(len(zrows))), ncols)[0], mat
+def _evaluate(zrows: list[list[tuple[int, int]]], tau: int) -> list[list[int]]:
+    """The integer pencil rows at t = tau."""
+    return [[a + b * tau for (a, b) in row] for row in zrows]
 
 
-def _int_elim_pivot_rows(mat: list[list[int]], order: list[int], ncols: int):
-    """Fraction-free elimination following a row preference order.
+def _small_points(n: int) -> list[int]:
+    """n distinct small integers: 0, 1, -1, 2, -2, ..."""
+    return [(-1) ** (k + 1) * ((k + 1) // 2) for k in range(n)]
 
-    Returns (rank, pivot_row_indices); indices name the original matrix rows
-    in the order they were chosen as pivots.
+
+def _int_elim_pivot_rows(
+    mat: list[list[int]], order: list[int] | range, ncols: int
+) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) elimination following a row preference order.
+
+    Returns (pivot_row_indices, det). The indices name the original matrix
+    rows in the order they were chosen as pivots. det is the determinant of
+    the rows, taken in `order`, on the pivot columns when every row is a
+    pivot row, and 0 otherwise; for a square matrix and order range(n) it is
+    det(mat).
     """
     work = [list(mat[i]) for i in order]
     labels = list(order)
     nrows = len(work)
-    prev = 1
+    sign = prev = 1
     r = 0
-    pivot_rows = []
     for c in range(ncols):
         piv = None
         for i in range(r, nrows):
@@ -490,137 +497,61 @@ def _int_elim_pivot_rows(mat: list[list[int]], order: list[int], ncols: int):
                 break
         if piv is None:
             continue
-        work[r], work[piv] = work[piv], work[r]
-        labels[r], labels[piv] = labels[piv], labels[r]
-        pivot_rows.append(labels[r])
+        if piv != r:
+            work[r], work[piv] = work[piv], work[r]
+            labels[r], labels[piv] = labels[piv], labels[r]
+            sign = -sign
         pv = work[r][c]
         wr = work[r]
+        # column c is never read again, so it is left uncleared
         for i in range(r + 1, nrows):
             wi = work[i]
             f = wi[c]
-            for j in range(c, ncols):
+            for j in range(c + 1, ncols):
                 wi[j] = (pv * wi[j] - f * wr[j]) // prev
         prev = pv
         r += 1
         if r == nrows:
-            break
-    return len(pivot_rows), pivot_rows
-
-
-def _int_det_bareiss(mat: list[list[int]]) -> int:
-    """Determinant of a square integer matrix (fraction-free elimination)."""
-    m = [list(r) for r in mat]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = None
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    swap = i
-                    break
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pv = m[k][k]
-        mk = m[k]
-        for i in range(k + 1, n):
-            mi = m[i]
-            f = mi[k]
-            for j in range(k + 1, n):
-                mi[j] = (pv * mi[j] - f * mk[j]) // prev
-            mi[k] = 0
-        prev = pv
-    return sign * m[n - 1][n - 1]
-
-
-_EVAL_POINTS_BASE = [0]
-for _k in range(1, 200):
-    _EVAL_POINTS_BASE.extend([_k, -_k])
+            return labels, sign * prev
+    return labels[:r], 0
 
 
 def _interp_minor(zrows: list[list[tuple[int, int]]], row_subset: list[int]) -> list[int]:
-    """det of the pencil submatrix on row_subset, as an integer polynomial,
-    computed by evaluation at small integers and Lagrange interpolation."""
-    s = len(zrows[0]) if zrows else 0
-    pts = _EVAL_POINTS_BASE[: s + 1]
-    vals = []
-    for tau in pts:
-        sub = [[a + b * tau for (a, b) in zrows[i]] for i in row_subset]
-        vals.append(_int_det_bareiss(sub))
-    big = [1]
-    for x in pts:
-        big = _zp_mul(big, [-x, 1])
-    acc = [Fraction(0)] * (s + 1)
-    for j, xj in enumerate(pts):
-        if vals[j] == 0:
-            continue
-        qj = _zp_divexact(list(big), [-xj, 1])
-        denom = 1
-        for k, xk in enumerate(pts):
-            if k != j:
-                denom *= xj - xk
-        w = Fraction(vals[j], denom)
-        for i, c in enumerate(qj):
-            acc[i] += w * c
-    out = []
-    for c in acc:
-        if c.denominator != 1:
-            raise ArithmeticError("minor interpolation produced a non-integer")
-        out.append(c.numerator)
-    return _zp_trim(out)
+    """det of the square pencil submatrix on row_subset, as an integer
+    polynomial: its values at len(row_subset) + 1 small integers, interpolated
+    by Newton divided differences, which stay integers for a polynomial with
+    integer coefficients."""
+    sub = [zrows[i] for i in row_subset]
+    s = len(sub)
+    xs = _small_points(s + 1)
+    dd = [_int_elim_pivot_rows(_evaluate(sub, x), range(s), s)[1] for x in xs]
+    for k in range(1, s + 1):
+        for i in range(s, k - 1, -1):
+            dd[i], rem = divmod(dd[i] - dd[i - 1], xs[i] - xs[i - k])
+            if rem:
+                raise ArithmeticError("minor interpolation produced a non-integer")
+    # Horner's scheme on the Newton form
+    poly: list[int] = []
+    for x, c in zip(reversed(xs), reversed(dd)):
+        poly = _zp_mul(poly, [-x, 1]) or [0]
+        poly[0] += c
+    return _zp_trim(poly)
 
 
-def _poly_matrix_rank(zrows: list[list[tuple[int, int]]], ncols: int) -> int:
-    """Rank over Q(t) by fraction-free elimination with Z[t] entries."""
-    work = [[_zp_trim([a, b]) for (a, b) in row] for row in zrows]
-    nrows = len(work)
-    prev = [1]
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if work[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        pv = work[r][c]
-        wr = work[r]
-        for i in range(r + 1, nrows):
-            wi = work[i]
-            f = wi[c]
-            for j in range(c, ncols):
-                num = _zp_sub(_zp_mul(pv, wi[j]), _zp_mul(f, wr[j]))
-                wi[j] = _zp_divexact(num, prev) if num else []
-        prev = pv
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def pencil_rank_drop(
-    p: PencilMatrix,
-    rng: random.Random | None = None,
-    stable_after: int = 3,
-    max_minors: int = 24,
-) -> PencilRankDrop:
+def pencil_rank_drop(p: PencilMatrix, rng: random.Random | None = None) -> PencilRankDrop:
     """Find the rational values of t at which the pencil loses column rank.
 
-    The generic rank is certified by exact evaluation at a random integer
-    (with a symbolic fraction-free elimination fallback). When the pencil
-    generically has full column rank, maximal minors are sampled through
-    fraction-free elimination under random row permutations; their gcd is
-    accumulated until it is constant or unchanged for `stable_after`
-    consecutive fresh minors, and every rational root of the gcd is
-    re-verified by exact substitution before being reported as a candidate.
-    The sampling stop reason is recorded for audit.
+    The generic rank is certified by exact evaluation: at a random integer
+    when the pencil has full column rank there (up to three tries), else as
+    the largest rank at cols + 1 distinct integers, which is exact because an
+    r x r minor has degree <= r in t and so vanishes at r of them at most.
+    When the pencil generically has full column rank, maximal minors are
+    sampled through fraction-free elimination under random row permutations;
+    their gcd is accumulated until it is constant, unchanged for
+    MINOR_STABLE_AFTER consecutive fresh minors, or MINOR_SAMPLE_CAP minors
+    have been drawn, and every rational root of the gcd is re-verified by
+    exact substitution before being reported as a candidate. The sampling
+    stop reason is recorded for audit.
     """
     if p.rows < p.cols:
         raise MalformedPencilError(f"pencil is {p.rows}x{p.cols}; need rows >= cols")
@@ -636,34 +567,30 @@ def pencil_rank_drop(
     zrows = [zrows[i] for i in keep]
     nrows = len(zrows)
 
-    mat_tau = None
-    generic_rank = 0
-    if nrows >= p.cols:
-        for _attempt in range(3):
-            rank, mat = _random_evaluation(zrows, p.cols, rng)
-            generic_rank = max(generic_rank, rank)
-            if rank == p.cols:
-                mat_tau = mat
-                break
+    # the random points are drawn lazily, so rng advances only up to the
+    # first point of full column rank
+    randoms = (rng.randrange(100_003, 1_000_003) for _ in range(3 if nrows >= p.cols else 0))
+    generic_rank, mat_tau = 0, None
+    for tau in itertools.chain(randoms, _small_points(p.cols + 1)):
+        mat = _evaluate(zrows, tau)
+        rank = len(_int_elim_pivot_rows(mat, range(nrows), p.cols)[0])
+        generic_rank = max(generic_rank, rank)
+        if rank == p.cols:
+            mat_tau = mat
+            break
     if mat_tau is None:
-        generic_rank = _poly_matrix_rank(zrows, p.cols)
-        if generic_rank < p.cols:
-            return PencilRankDrop(
-                generic_rank, (), UniPoly(), True, 0, "generic rank below column count"
-            )
-        while mat_tau is None:  # unlucky evaluations; only finitely many bad points
-            rank, mat = _random_evaluation(zrows, p.cols, rng)
-            if rank == p.cols:
-                mat_tau = mat
+        return PencilRankDrop(
+            generic_rank, (), UniPoly(), True, 0, "generic rank below column count"
+        )
 
     gcd_acc: list[int] | None = None
     stable = 0
     sampled = 0
     stop_reason = "minor sample cap reached"
-    while sampled < max_minors:
+    while sampled < MINOR_SAMPLE_CAP:
         order = list(range(nrows))
         rng.shuffle(order)
-        _, pivot_rows = _int_elim_pivot_rows(mat_tau, order, p.cols)
+        pivot_rows, _ = _int_elim_pivot_rows(mat_tau, order, p.cols)
         minor = _zp_primitive(_interp_minor(zrows, pivot_rows))
         sampled += 1
         if gcd_acc is None:
@@ -678,8 +605,8 @@ def pencil_rank_drop(
         if len(gcd_acc) == 1:
             stop_reason = "minor gcd became constant"
             break
-        if stable >= stable_after:
-            stop_reason = f"minor gcd unchanged for {stable_after} consecutive fresh minors"
+        if stable >= MINOR_STABLE_AFTER:
+            stop_reason = f"minor gcd unchanged for {MINOR_STABLE_AFTER} consecutive fresh minors"
             break
 
     assert gcd_acc is not None

@@ -176,8 +176,8 @@ def integrate(f: FieldDef, x0, t_end: float, mode: StepMode) -> Trajectory:
     Non-finite states do not raise: the trajectory is truncated at the last
     finite sample and flagged.
     """
-    if not t_end > 0:
-        raise ValueError("t_end must be positive")
+    if not 0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
     fn = _compile_field(f)
     x0 = tuple(float(v) for v in x0)
     if len(x0) != 3:

@@ -52,6 +52,14 @@ class TestAnalyzeCommand:
         main(args + ["--out", str(tmp_path / "b.json")])
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_seed_dependent_residual_note(self, tmp_path):
+        # this seed's sampled minors leave an irreducible quadratic in one cell
+        _, report = run_json(tmp_path, ["analyze"] + HSA_1001 + ["--degree", "2", "--seed", "217"])
+        assert (
+            "cell (b1=0, b2=0, b3=0): nonconstant residual t^2 + 2*t + 2; possible irrational "
+            "or complex eigen values not resolved"
+        ) in report["notes"]
+
     def test_coefficient_maps(self, tmp_path):
         _, report = run_json(tmp_path, ["analyze"] + HSA_1011 + ["--degree", "2"])
         cert = report["darboux_polynomials"][0]
@@ -234,6 +242,20 @@ class TestCombineCommand:
         assert main(["combine", "--from", str(tmp_path / "bad.json")]) == 2
         assert capsys.readouterr().err.startswith("error: --from: ")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            '{"model": {"dx": "x"}, "certificates": []}',
+            '{"model": {"dx": "x", "dy": "y", "dz": "z"}, "certificates": 5}',
+        ],
+        ids=["not-an-object", "model-without-dy", "certificates-not-a-list"],
+    )
+    def test_malformed_report(self, tmp_path, capsys, text):
+        (tmp_path / "bad.json").write_text(text)
+        assert main(["combine", "--from", str(tmp_path / "bad.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: --from: ")
+
 
 class TestNumericCommands:
     def test_simulate_csv(self, tmp_path):
@@ -256,6 +278,18 @@ class TestNumericCommands:
             ["simulate"] + HSA_1001 + ["--x0", "0.5,0.2,0.1", "--h", "0.1", "--tolerance", "0.1"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["simulate"] + HSA_1001 + ["--x0", "0.5,0.2,0.1", "--h", "0.1"],
+            ["drift"] + HSA_1001 + ["--integral", "F1", "--x0", "0.5,0.2,0.1"],
+        ],
+        ids=["simulate", "drift"],
+    )
+    def test_infinite_t_end_rejected(self, capsys, command):
+        assert main(command + ["--t-end", "inf"]) == 2
+        assert capsys.readouterr().err.startswith("error: t_end must be positive and finite")
 
     def test_drift_report(self, tmp_path):
         code, report = run_json(

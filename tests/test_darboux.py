@@ -294,6 +294,14 @@ class TestAnalyze:
         terms = combination_log_terms(v.combination_certs(), nontrivial[0].weights)
         assert lie_derivative_log_combination(v.model, terms).is_zero()
 
+    def test_seed_dependent_residual_note(self):
+        # this seed's sampled minors leave an irreducible quadratic in one cell
+        v = analyze(hsa(1, 0, 0, 0), 2, rng=random.Random(12))
+        assert (
+            "cell (b1=0, b2=2, b3=0): nonconstant residual t^2 + 2; possible irrational "
+            "or complex eigen values not resolved"
+        ) in v.notes.splitlines()
+
     def test_zero_field_short_circuit(self):
         zero_field = FieldDef(Poly.zero(), Poly.zero(), Poly.zero())
         v = analyze(zero_field, 3)

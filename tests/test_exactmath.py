@@ -131,6 +131,19 @@ class TestPencilRankDrop:
             assert null_space(p.substitute(t0))
             assert kernel == null_space(p.substitute(t0))
 
+    def test_unlucky_random_points_fall_back_to_small_points(self):
+        # det = t (t - 1) (t + 1): the random points (all 0 here) and the first
+        # three small points 0, 1, -1 are rank drops; only the fourth, 2, is not
+        class ZeroRng(random.Random):
+            def randrange(self, *args):
+                return 0
+
+        p = PencilMatrix(3, 3, [lin(0, 1), 0, 0, 0, lin(-1, 1), 0, 0, 0, lin(1, 1)])
+        res = pencil_rank_drop(p, rng=ZeroRng(7))
+        assert res.generic_rank == 3
+        assert not res.parametric
+        assert res.candidates == (F(-1), F(0), F(1))
+
     def test_deterministic_for_fixed_seed(self):
         p = PencilMatrix(2, 2, [lin(-1, 1), 0, 0, lin(-2, 1)])
         a = pencil_rank_drop(p, rng=random.Random(3))
@@ -209,6 +222,45 @@ def test_pencil_candidates_yield_kernels(p):
         assert kernel == vectors
 
 
+@st.composite
+def maybe_deficient_pencil(draw):
+    """A small pencil whose last column is, in two draws of three, a constant
+    or a t multiple of its first, so that it has no full column rank over Q(t)."""
+    p = draw(small_pencil())
+    if p.cols > 1:
+        mode = draw(st.sampled_from(["as drawn", "constant multiple", "t multiple"]))
+        k = draw(st.integers(min_value=-2, max_value=2))
+        for lo in range(0, p.rows * p.cols, p.cols):
+            first, last = lo, lo + p.cols - 1
+            if mode == "constant multiple":
+                p.a[last], p.b[last] = k * p.a[first], k * p.b[first]
+            elif mode == "t multiple":
+                p.b[first] = F(0)
+                p.a[last], p.b[last] = F(0), k * p.a[first]
+    return p
+
+
+@given(maybe_deficient_pencil())
+@settings(max_examples=150, deadline=None)
+def test_generic_rank_matches_rank_over_rational_functions(p):
+    import sympy
+    from sympy.polys.matrices import DomainMatrix
+
+    t = sympy.Symbol("t")
+    field = sympy.QQ.frac_field(t)
+    rows = [
+        [
+            field.from_sympy(sympy.Rational(p.a[i]) + sympy.Rational(p.b[i]) * t)
+            for i in range(lo, lo + p.cols)
+        ]
+        for lo in range(0, p.rows * p.cols, p.cols)
+    ]
+    expected = DomainMatrix(rows, (p.rows, p.cols), field).rank()
+    res = pencil_rank_drop(p, rng=random.Random(5))
+    assert res.generic_rank == expected
+    assert res.parametric == (expected < p.cols)
+
+
 @given(
     st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=1, max_size=4),
 )
@@ -230,7 +282,6 @@ def test_rational_roots_complete_and_sound(roots):
 # ---------------------------------------------------------------------------
 
 from darboux3.exactmath import (  # noqa: E402
-    _int_det_bareiss,
     _int_elim_pivot_rows,
     _zp_gcd,
     _zp_mul,
@@ -259,7 +310,7 @@ def _det_cofactor(m):
 )
 @settings(max_examples=200, deadline=None)
 def test_int_det_matches_cofactor_expansion(m):
-    assert _int_det_bareiss(m) == _det_cofactor(m)
+    assert _int_elim_pivot_rows(m, range(len(m)), len(m))[1] == _det_cofactor(m)
 
 
 @given(
@@ -273,10 +324,9 @@ def test_int_elimination_rank_matches_rref(rows, cols, data):
         [data.draw(st.integers(min_value=-4, max_value=4)) for _ in range(cols)]
         for _ in range(rows)
     ]
-    rank_int, pivot_rows = _int_elim_pivot_rows(mat, list(range(rows)), cols)
+    pivot_rows, _ = _int_elim_pivot_rows(mat, list(range(rows)), cols)
     _, _, rank_frac = rref(QMatrix.from_rows(mat))
-    assert rank_int == rank_frac
-    assert len(pivot_rows) == rank_int
+    assert len(pivot_rows) == rank_frac
     assert len(set(pivot_rows)) == len(pivot_rows)
 
 
