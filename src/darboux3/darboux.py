@@ -432,6 +432,12 @@ def analyze(
             f"degree bound {degree_bound} is expensive: the degree-<= {degree_bound} "
             f"coefficient space has dimension {len(monomials_up_to(degree_bound))}"
         )
+    if f.max_degree() > 2:
+        notes.append(
+            f"field degree {f.max_degree()} > 2: cofactors may have degree up to "
+            f"{f.max_degree() - 1}, but the cofactor space was truncated to degree <= 1; "
+            "certificates with higher-degree cofactors were not searched"
+        )
 
     if f.is_zero():
         x = Poly.variable("x")

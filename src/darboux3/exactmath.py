@@ -307,19 +307,10 @@ def _zp_divexact(a: list[int], b: list[int]) -> list[int]:
     return _zp_trim(out)
 
 
-def _zp_content(p: list[int]) -> int:
-    g = 0
-    for c in p:
-        g = math.gcd(g, c)
-        if g == 1:
-            break
-    return g
-
-
 def _zp_primitive(p: list[int]) -> list[int]:
     if not p:
         return []
-    g = _zp_content(p)
+    g = math.gcd(*p)
     p = [c // g for c in p]
     if p[-1] < 0:
         p = [-c for c in p]
@@ -432,9 +423,7 @@ def rational_roots(p: UniPoly) -> list[Fraction]:
     """Exactly the rational roots of p, sorted ascending, duplicates removed."""
     if p.is_zero():
         raise ValueError("zero polynomial: every value is a root")
-    den_lcm = 1
-    for c in p.coeffs:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
+    den_lcm = math.lcm(*(c.denominator for c in p.coeffs))
     zp = [int(c * den_lcm) for c in p.coeffs]
     return _zp_rational_roots(zp)
 
@@ -474,7 +463,7 @@ def _small_points(n: int) -> list[int]:
 
 
 def _int_elim_pivot_rows(
-    mat: list[list[int]], order: list[int] | range, ncols: int
+    mat: list[list[int]], order: list[int] | range, ncols: int, prev: int = 1, stop_at_gap=False
 ) -> tuple[list[int], int]:
     """Fraction-free (Bareiss) elimination following a row preference order.
 
@@ -482,12 +471,15 @@ def _int_elim_pivot_rows(
     rows in the order they were chosen as pivots. det is the determinant of
     the rows, taken in `order`, on the pivot columns when every row is a
     pivot row, and 0 otherwise; for a square matrix and order range(n) it is
-    det(mat).
+    det(mat). prev continues the recurrence from the last pivot of earlier
+    steps (_eliminate_constant_rows), making det that of the whole matrix.
+    stop_at_gap returns at the first column without a pivot, with the pivot
+    rows so far and det 0: enough to ask for det or for full column rank.
     """
     work = [list(mat[i]) for i in order]
     labels = list(order)
     nrows = len(work)
-    sign = prev = 1
+    sign = 1
     r = 0
     for c in range(ncols):
         piv = None
@@ -496,6 +488,8 @@ def _int_elim_pivot_rows(
                 piv = i
                 break
         if piv is None:
+            if stop_at_gap:
+                return labels[:r], 0
             continue
         if piv != r:
             work[r], work[piv] = work[piv], work[r]
@@ -513,20 +507,59 @@ def _int_elim_pivot_rows(
         r += 1
         if r == nrows:
             return labels, sign * prev
-    return labels[:r], 0
+    return labels[:r], sign * prev if r == nrows else 0
+
+
+def _eliminate_constant_rows(sub: list[list[tuple[int, int]]]) -> tuple[list, int, int]:
+    """One Bareiss step per t-free row of a square integer pencil block,
+    pivoting on the first column left with a nonzero entry.
+
+    Returns (block, prev, sign): the t-carrying rows on the columns left
+    without a pivot, as (a, b) pairs, the last pivot, and the sign of moving
+    the t-free rows and pivot columns first, so that det(sub) is sign times
+    det(block) continued from prev; ([], 0, 1) if the t-free rows are
+    dependent. An update is linear in the row it updates, so a and b parts
+    update apart, and exactly: each entry is a (k+1)-minor after k steps.
+    """
+    moving = [any(b for _, b in row) for row in sub]
+    const = [[a for a, _ in row] for row, t in zip(sub, moving) if not t]
+    parts = [list(ab) for row, t in zip(sub, moving) if t for ab in zip(*row)]
+    flips = sum(sum(moving[:i]) for i, t in enumerate(moving) if not t)
+    free = list(range(len(sub)))
+    prev = 1
+    for k, wr in enumerate(const):
+        idx = next((i for i, j in enumerate(free) if wr[j]), None)
+        if idx is None:
+            return [], 0, 1
+        flips += idx
+        c = free.pop(idx)
+        pv = wr[c]
+        for w in itertools.chain(const[k + 1 :], parts):
+            f = w[c]
+            for j in free:
+                w[j] = (pv * w[j] - f * wr[j]) // prev
+        prev = pv
+    block = [[(a[j], b[j]) for j in free] for a, b in zip(parts[::2], parts[1::2])]
+    return block, prev, (-1) ** flips
 
 
 def _interp_minor(zrows: list[list[tuple[int, int]]], row_subset: list[int]) -> list[int]:
     """det of the square pencil submatrix on row_subset, as an integer
-    polynomial: its values at len(row_subset) + 1 small integers, interpolated
-    by Newton divided differences, which stay integers for a polynomial with
-    integer coefficients."""
-    sub = [zrows[i] for i in row_subset]
-    s = len(sub)
-    xs = _small_points(s + 1)
-    dd = [_int_elim_pivot_rows(_evaluate(sub, x), range(s), s)[1] for x in xs]
-    for k in range(1, s + 1):
-        for i in range(s, k - 1, -1):
+    polynomial. The t-free rows are eliminated once; the determinant then has
+    degree <= m in t, m the number of t-carrying rows, so the remaining m x m
+    block is evaluated at m + 1 small integers, each by continuing the
+    Bareiss recurrence from the last constant pivot, and the values are
+    interpolated by Newton divided differences, which stay integers for a
+    polynomial with integer coefficients."""
+    block, prev, sign = _eliminate_constant_rows([zrows[i] for i in row_subset])
+    m = len(block)
+    xs = _small_points(m + 1)
+    dd = [
+        sign * _int_elim_pivot_rows(_evaluate(block, x), range(m), m, prev, stop_at_gap=True)[1]
+        for x in xs
+    ]
+    for k in range(1, m + 1):
+        for i in range(m, k - 1, -1):
             dd[i], rem = divmod(dd[i] - dd[i - 1], xs[i] - xs[i - k])
             if rem:
                 raise ArithmeticError("minor interpolation produced a non-integer")
@@ -593,15 +626,9 @@ def pencil_rank_drop(p: PencilMatrix, rng: random.Random | None = None) -> Penci
         pivot_rows, _ = _int_elim_pivot_rows(mat_tau, order, p.cols)
         minor = _zp_primitive(_interp_minor(zrows, pivot_rows))
         sampled += 1
-        if gcd_acc is None:
-            gcd_acc = minor
-        else:
-            new = _zp_gcd(gcd_acc, minor)
-            if new == gcd_acc:
-                stable += 1
-            else:
-                stable = 0
-            gcd_acc = new
+        new = minor if gcd_acc is None else _zp_gcd(gcd_acc, minor)
+        stable = stable + 1 if new == gcd_acc else 0
+        gcd_acc = new
         if len(gcd_acc) == 1:
             stop_reason = "minor gcd became constant"
             break
@@ -613,8 +640,10 @@ def pencil_rank_drop(p: PencilMatrix, rng: random.Random | None = None) -> Penci
     roots = _zp_rational_roots(gcd_acc) if len(gcd_acc) > 1 else []
     candidates, kernels = [], []
     for r in roots:
-        reduced, pivots, rank_r = rref(p.substitute(r))
-        if rank_r < p.cols:
+        # rank over Z at t = num/den first; rref only where it drops, for the kernel
+        mat = [[r.denominator * a + r.numerator * b for a, b in row] for row in zrows]
+        if len(_int_elim_pivot_rows(mat, range(nrows), p.cols, stop_at_gap=True)[0]) < p.cols:
+            reduced, pivots, _ = rref(p.substitute(r))
             candidates.append(r)
             kernels.append(_kernel_basis(reduced, pivots))
     residual = list(gcd_acc)

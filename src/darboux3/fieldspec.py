@@ -11,10 +11,10 @@ Field file grammar (UTF-8 text, '#' starts a comment):
     dy = <expr>
     dz = <expr>
 
-Expressions admit +, -, *, / (by a nonzero constant only), ^ with nonnegative
-integer exponents, parentheses, integer literals, fractions such as 3/2, the
-variables x, y, z, and bound parameter names. Juxtaposition is not
-multiplication.
+Expressions admit +, -, *, / (by a nonzero constant only), ^ with integer
+exponents from 0 to MAX_EXPONENT, parentheses, integer literals, fractions
+such as 3/2, the variables x, y, z, and bound parameter names. Juxtaposition
+is not multiplication.
 """
 
 from __future__ import annotations
@@ -150,6 +150,9 @@ def lie_derivative(f: FieldDef, h: Poly) -> Poly:
 # Expression parsing
 # ---------------------------------------------------------------------------
 
+# Largest exponent '^' accepts: repeated multiplication is quadratic in it.
+MAX_EXPONENT = 32
+
 _TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])")
 
 
@@ -251,6 +254,8 @@ class _ExprParser:
                     raise NonPolynomialError("fractional exponent", epos)
                 if c < 0:
                     raise NonPolynomialError("negative exponent", epos)
+                if c > MAX_EXPONENT:
+                    raise NonPolynomialError(f"exponent above {MAX_EXPONENT}", epos)
                 p = p ** int(c)
             else:
                 return p

@@ -103,6 +103,13 @@ class TestModelValidation:
         code = main(["analyze", "--field", str(field)])
         assert code == 2
 
+    def test_field_file_exponent_above_cap(self, tmp_path, capsys):
+        field = tmp_path / "f.txt"
+        field.write_text("dx = x^1000\ndy = y\ndz = z\n")
+        code = main(["verify", "--field", str(field), "--poly", "y", "--cofactor", "1"])
+        assert code == 2
+        assert "exponent above" in capsys.readouterr().err
+
     def test_field_file_with_params(self, tmp_path):
         field = tmp_path / "f.txt"
         field.write_text(

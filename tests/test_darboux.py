@@ -319,6 +319,16 @@ class TestAnalyze:
         v = analyze(f, 2, rng=random.Random(0))
         assert "only justified" in v.notes
 
+    def test_cubic_field_notes_truncated_cofactor_space(self):
+        from darboux3.fieldspec import parse_field
+
+        cubic = analyze(parse_field("dx = x^3\ndy = y\ndz = z\n"), 2, rng=random.Random(0))
+        quadratic = analyze(parse_field("dx = x^2\ndy = y\ndz = z\n"), 2, rng=random.Random(0))
+        truncated = [line for line in cubic.notes.splitlines() if "truncated" in line]
+        assert len(truncated) == 1
+        assert "degree <= 1" in truncated[0]
+        assert "truncated" not in quadratic.notes
+
     def test_exp_factors_stable_between_bounds(self):
         for params in [(1, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 0), (1, 0, 0, 1)]:
             span2 = exp_span_canonical(

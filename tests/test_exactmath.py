@@ -330,6 +330,41 @@ def test_int_elimination_rank_matches_rref(rows, cols, data):
     assert len(set(pivot_rows)) == len(pivot_rows)
 
 
+@st.composite
+def mixed_minor(draw):
+    """A square integer pencil block whose rows are, by draw, zero, t-free or
+    linear in t, as (a, b) pairs for a + b*t."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    ints = st.integers(min_value=-3, max_value=3)
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["zero", "t-free", "linear"]))
+        if kind == "zero":
+            rows.append([(0, 0)] * n)
+        elif kind == "t-free":
+            rows.append([(draw(ints), 0) for _ in range(n)])
+        else:
+            rows.append([(draw(ints), draw(ints)) for _ in range(n)])
+    return rows
+
+
+@given(mixed_minor(), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_interp_minor_matches_symbolic_determinant(rows, rnd):
+    import sympy
+
+    from darboux3.exactmath import _interp_minor
+
+    t = sympy.Symbol("t")
+    subset = list(range(len(rows)))
+    rnd.shuffle(subset)
+    det = sympy.Matrix([[a + b * t for a, b in rows[i]] for i in subset]).det()
+    poly = _interp_minor(rows, subset)
+    expected = sympy.Poly(sympy.expand(det), t).all_coeffs()[::-1]
+    assert poly == ([] if expected == [0] else [int(c) for c in expected])
+    assert len(poly) - 1 <= sum(any(b for _, b in row) for row in rows)
+
+
 small_zpoly = st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=4)
 
 

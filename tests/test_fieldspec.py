@@ -92,6 +92,16 @@ class TestParseExpression:
         with pytest.raises(NonPolynomialError):
             parse_expression("x^y")
 
+    def test_exponent_above_cap_rejected(self):
+        from darboux3 import fieldspec
+
+        assert fieldspec.MAX_EXPONENT < 1000
+        assert parse_expression(f"x^{fieldspec.MAX_EXPONENT}").degree == fieldspec.MAX_EXPONENT
+        with pytest.raises(NonPolynomialError, match="exponent above"):
+            parse_expression("x^1000")
+        with pytest.raises(NonPolynomialError):
+            parse_expression(f"2^({fieldspec.MAX_EXPONENT} + 1)")
+
     def test_division_by_zero(self):
         with pytest.raises(ParseError):
             parse_expression("x/(1-1)")
