@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -141,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="NAME=VALUE",
             help="extra rational binding for field-file parsing (repeatable)",
         )
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized minor sampling")
+        p.add_argument("--seed", type=int, default=0, help="echoed; changes no output")
         p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
 
     p_analyze = sub.add_parser("analyze", help="full search pipeline and integrability verdict")
@@ -335,7 +334,7 @@ def cmd_analyze(args) -> int:
     cfg = RunConfig("analyze", args)
     f = _resolve_model(args)
     _require_degree(args.degree)
-    verdict = analyze(f, args.degree, rng=random.Random(args.seed))
+    verdict = analyze(f, args.degree)
     combo_certs = verdict.combination_certs()
     report = _base_report("analyze", cfg, f)
     report.update(
@@ -399,7 +398,7 @@ def cmd_search_darboux(args) -> int:
             if args.template_json
             else CofactorTemplate.default(args.degree)
         )
-        certs, notes = search_darboux_pencil(f, template, args.degree, rng=random.Random(args.seed))
+        certs, notes = search_darboux_pencil(f, template, args.degree)
         report.update(
             {
                 "mode": "pencil",

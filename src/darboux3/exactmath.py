@@ -8,8 +8,8 @@ eigen-cofactor search.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -250,10 +250,11 @@ class PencilRankDrop:
     """Result of the pencil rank analysis.
 
     candidates holds every rational t0 at which the pencil loses column rank,
-    verified by exact substitution, and kernels the null space of the pencil
-    at each candidate, in the same order. residual is the part of the sampled
-    minor gcd that has no rational roots; a nonconstant residual flags possible
-    irrational or complex rank-drop values that were not resolved.
+    and kernels the null space of the pencil at each candidate, in the same
+    order. residual is the part of the gcd of all maximal minors that has no
+    rational roots (zero for a parametric pencil); a nonconstant residual
+    means rank drops at irrational or complex t. minors_sampled is always 0
+    and stop_reason names the path pencil_rank_drop took.
     """
 
     generic_rank: int
@@ -271,42 +272,6 @@ class PencilRankDrop:
 # ---------------------------------------------------------------------------
 
 
-def _zp_trim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _zp_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _zp_trim(out)
-
-
-def _zp_divexact(a: list[int], b: list[int]) -> list[int]:
-    """Exact division in Z[t]; raises if the division does not come out even."""
-    if not a:
-        return []
-    a = list(a)
-    out = [0] * (len(a) - len(b) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        q, r = divmod(a[i + len(b) - 1], b[-1])
-        if r:
-            raise ArithmeticError("non-exact polynomial division")
-        out[i] = q
-        if q:
-            for j, y in enumerate(b):
-                a[i + j] -= q * y
-    if any(a):
-        raise ArithmeticError("non-exact polynomial division")
-    return _zp_trim(out)
-
-
 def _zp_primitive(p: list[int]) -> list[int]:
     if not p:
         return []
@@ -317,27 +282,13 @@ def _zp_primitive(p: list[int]) -> list[int]:
     return p
 
 
-def _zp_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd in Z[t] via pseudo-remainders, primitive at each step."""
-    a, b = _zp_primitive(list(a)), _zp_primitive(list(b))
-    if not a:
-        return b
-    if not b:
-        return a
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = list(a)
-        lb = b[-1]
-        while r and len(r) >= len(b):
-            shift = len(r) - len(b)
-            lr = r[-1]
-            r = [c * lb for c in r]
-            for j, y in enumerate(b):
-                r[shift + j] -= lr * y
-            r = _zp_trim(r)
-        a, b = b, _zp_primitive(r)
-    return _zp_primitive(a)
+def _zp_divide_root(p: list[int], num: int, den: int) -> list[int]:
+    """p / (den*t - num) in Z[t], for a root num/den of p in lowest terms."""
+    out, carry = [], 0
+    for c in reversed(p[1:]):
+        carry = (c + num * carry) // den
+        out.append(carry)
+    return out[::-1]
 
 
 def _zp_is_root(p: list[int], num: int, den: int) -> bool:
@@ -432,232 +383,265 @@ def rational_roots(p: UniPoly) -> list[Fraction]:
 # Pencil rank-drop machinery
 # ---------------------------------------------------------------------------
 
-# Minor sampling stops once the gcd is unchanged for MINOR_STABLE_AFTER
-# consecutive fresh minors, and after MINOR_SAMPLE_CAP minors at most.
-MINOR_STABLE_AFTER = 3
-MINOR_SAMPLE_CAP = 24
+# The one prime of the modular screen of the unobservable subspace.
+SCREEN_PRIME = 2**61 - 1
 
 
-def _pencil_to_int_rows(p: PencilMatrix) -> list[list[tuple[int, int]]]:
-    """Clear denominators row by row; each entry becomes (a, b) for a + b*t.
-
-    Row scaling by a positive integer leaves ranks and minor root sets
-    unchanged, so downstream analysis is unaffected.
-    """
-    out = []
-    for lo in range(0, p.rows * p.cols, p.cols):
-        row_a, row_b = p.a[lo : lo + p.cols], p.b[lo : lo + p.cols]
-        den = math.lcm(*(c.denominator for c in row_a + row_b))
-        out.append([(int(x * den), int(y * den)) for x, y in zip(row_a, row_b)])
-    return out
-
-
-def _evaluate(zrows: list[list[tuple[int, int]]], tau: int) -> list[list[int]]:
-    """The integer pencil rows at t = tau."""
-    return [[a + b * tau for (a, b) in row] for row in zrows]
-
-
-def _small_points(n: int) -> list[int]:
-    """n distinct small integers: 0, 1, -1, 2, -2, ..."""
-    return [(-1) ** (k + 1) * ((k + 1) // 2) for k in range(n)]
-
-
-def _int_elim_pivot_rows(
-    mat: list[list[int]], order: list[int] | range, ncols: int, prev: int = 1, stop_at_gap=False
-) -> tuple[list[int], int]:
-    """Fraction-free (Bareiss) elimination following a row preference order.
-
-    Returns (pivot_row_indices, det). The indices name the original matrix
-    rows in the order they were chosen as pivots. det is the determinant of
-    the rows, taken in `order`, on the pivot columns when every row is a
-    pivot row, and 0 otherwise; for a square matrix and order range(n) it is
-    det(mat). prev continues the recurrence from the last pivot of earlier
-    steps (_eliminate_constant_rows), making det that of the whole matrix.
-    stop_at_gap returns at the first column without a pivot, with the pivot
-    rows so far and det 0: enough to ask for det or for full column rank.
-    """
-    work = [list(mat[i]) for i in order]
-    labels = list(order)
-    nrows = len(work)
-    sign = 1
-    r = 0
+def _int_rref(mat: list[list[int]], ncols: int) -> tuple[list, list[int], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss), exact because every
+    entry stays a minor of mat. Returns (rows, pivots, labels, det): the
+    pivot rows, all holding one value d at their pivot and 0 at the other
+    pivots (rows / d is the rref), the pivot columns, the input index of each
+    pivot row, and det(mat) for a square mat (0 if singular)."""
+    work = [list(r) for r in mat]
+    labels = list(range(len(work)))
+    pivots: list[int] = []
+    sign, prev = 1, 1
     for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if work[i][c] != 0:
-                piv = i
-                break
+        r = len(pivots)
+        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
         if piv is None:
-            if stop_at_gap:
-                return labels[:r], 0
             continue
         if piv != r:
             work[r], work[piv] = work[piv], work[r]
             labels[r], labels[piv] = labels[piv], labels[r]
             sign = -sign
-        pv = work[r][c]
         wr = work[r]
-        # column c is never read again, so it is left uncleared
-        for i in range(r + 1, nrows):
-            wi = work[i]
-            f = wi[c]
-            for j in range(c + 1, ncols):
-                wi[j] = (pv * wi[j] - f * wr[j]) // prev
-        prev = pv
-        r += 1
-        if r == nrows:
-            return labels, sign * prev
-    return labels[:r], sign * prev if r == nrows else 0
-
-
-def _eliminate_constant_rows(sub: list[list[tuple[int, int]]]) -> tuple[list, int, int]:
-    """One Bareiss step per t-free row of a square integer pencil block,
-    pivoting on the first column left with a nonzero entry.
-
-    Returns (block, prev, sign): the t-carrying rows on the columns left
-    without a pivot, as (a, b) pairs, the last pivot, and the sign of moving
-    the t-free rows and pivot columns first, so that det(sub) is sign times
-    det(block) continued from prev; ([], 0, 1) if the t-free rows are
-    dependent. An update is linear in the row it updates, so a and b parts
-    update apart, and exactly: each entry is a (k+1)-minor after k steps.
-    """
-    moving = [any(b for _, b in row) for row in sub]
-    const = [[a for a, _ in row] for row, t in zip(sub, moving) if not t]
-    parts = [list(ab) for row, t in zip(sub, moving) if t for ab in zip(*row)]
-    flips = sum(sum(moving[:i]) for i, t in enumerate(moving) if not t)
-    free = list(range(len(sub)))
-    prev = 1
-    for k, wr in enumerate(const):
-        idx = next((i for i, j in enumerate(free) if wr[j]), None)
-        if idx is None:
-            return [], 0, 1
-        flips += idx
-        c = free.pop(idx)
         pv = wr[c]
-        for w in itertools.chain(const[k + 1 :], parts):
-            f = w[c]
-            for j in free:
-                w[j] = (pv * w[j] - f * wr[j]) // prev
+        for i, wi in enumerate(work):
+            if i != r:
+                f = wi[c]
+                work[i] = [(pv * x - f * y) // prev for x, y in zip(wi, wr)]
         prev = pv
-    block = [[(a[j], b[j]) for j in free] for a, b in zip(parts[::2], parts[1::2])]
-    return block, prev, (-1) ** flips
+        pivots.append(c)
+        if len(pivots) == len(work):
+            break
+    r = len(pivots)
+    return work[:r], pivots, labels[:r], sign * prev if r == len(work) == ncols else 0
 
 
-def _interp_minor(zrows: list[list[tuple[int, int]]], row_subset: list[int]) -> list[int]:
-    """det of the square pencil submatrix on row_subset, as an integer
-    polynomial. The t-free rows are eliminated once; the determinant then has
-    degree <= m in t, m the number of t-carrying rows, so the remaining m x m
-    block is evaluated at m + 1 small integers, each by continuing the
-    Bareiss recurrence from the last constant pivot, and the values are
-    interpolated by Newton divided differences, which stay integers for a
-    polynomial with integer coefficients."""
-    block, prev, sign = _eliminate_constant_rows([zrows[i] for i in row_subset])
-    m = len(block)
-    xs = _small_points(m + 1)
-    dd = [
-        sign * _int_elim_pivot_rows(_evaluate(block, x), range(m), m, prev, stop_at_gap=True)[1]
-        for x in xs
+def _row_times(row: list[int], cols, prime: int | None = None) -> list[int]:
+    """row times the matrix with the given columns, mod prime unless None."""
+    out = [sum(map(operator.mul, row, col)) for col in cols]
+    return [x % prime for x in out] if prime else out
+
+
+def _charpoly(k: list[list[int]]) -> list[int]:
+    """det(x*I - k) of a square integer matrix, little-endian, by the
+    Faddeev-LeVerrier recurrence, whose divisions are exact over Z."""
+    d = len(k)
+    coeffs = [1]
+    acc = [[0] * d for _ in range(d)]
+    for i in range(1, d + 1):
+        cols = list(zip(*(
+            [x + coeffs[-1] * (r == s) for s, x in enumerate(row)] for r, row in enumerate(acc)
+        )))
+        acc = [_row_times(row, cols) for row in k]
+        coeffs.append(-sum(acc[r][r] for r in range(d)) // i)
+    return coeffs[::-1]
+
+
+def _int_rows(rows: list[list[Fraction]], den: int = 1) -> tuple[list[list[int]], int]:
+    """The rows scaled by the lcm of den and their denominators, and that lcm."""
+    den = math.lcm(den, *(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
+def _krylov_rows(m: list[list[int]], c: list[list[int]], prime: int | None) -> tuple[list, list]:
+    """A greedy basis of the row space of [C; C*M; C*M^2; ...] mod prime (over
+    Q for None), multiplying by M only the rows each power adds. Returns the
+    kept rows as the unreduced products C_i*M^k, and the parent of each:
+    ("C", i), or ("M", j) for kept row j times M."""
+    mt = list(zip(*m))
+    basis: list[tuple[int, list[int]]] = []  # (pivot column, reduced row)
+    kept: list[list[int]] = []
+    parents: list[tuple[str, int]] = []
+    frontier = [(row, ("C", i)) for i, row in enumerate(c)]
+    while frontier and len(basis) < len(m):
+        fresh = []
+        for raw, parent in frontier:
+            red = raw
+            for j, b in basis:
+                f = red[j]
+                if f and prime:
+                    red = [(x - f * y) % prime for x, y in zip(red, b)]
+                elif f:
+                    red = [b[j] * x - f * y for x, y in zip(red, b)]
+                    g = math.gcd(*red)
+                    red = [x // g for x in red]
+            piv = next((j for j, x in enumerate(red) if x), None)
+            if piv is None:
+                continue
+            if prime:
+                inv = pow(red[piv], -1, prime)
+                red = [x * inv % prime for x in red]
+            basis.append((piv, red))
+            kept.append(raw)
+            parents.append(parent)
+            fresh.append(len(kept) - 1)
+        frontier = [(_row_times(kept[j], mt, prime), ("M", j)) for j in fresh]
+    return kept, parents
+
+
+def _invariant_kernel(m: list[list[int]], c: list[list[int]], rows: list[list[int]]):
+    """(basis, d, k) for V = ker(rows) when C*V = 0 and M*V lies in V, else
+    None. Each basis vector is d times a unit vector on the free columns of
+    rows, and k is the integer matrix with M*basis = basis*k/d."""
+    n = len(m)
+    red, pivots, _, _ = _int_rref(rows, n)
+    d = red[0][pivots[0]] if pivots else 1
+    free = [j for j in range(n) if j not in set(pivots)]
+    basis = []
+    for f in free:
+        v = [0] * n
+        v[f] = d
+        for row, piv in zip(red, pivots):
+            v[piv] = -row[f]
+        basis.append(v)
+    mv = [_row_times(v, m) for v in basis]  # M*v, one per basis vector
+    in_ker_c = not any(sum(map(operator.mul, row, v)) for row in c for v in basis)
+    if not in_ker_c or [_row_times([w[f] for f in free], list(zip(*basis))) for w in mv] != [
+        [d * x for x in w] for w in mv
+    ]:
+        return None
+    return basis, d, [[w[f] for w in mv] for f in free]
+
+
+def _unobservable(m: list[list[int]], c: list[list[int]]):
+    """The unobservable subspace W of (C, M), the largest M-invariant
+    subspace of ker C, as _invariant_kernel's (basis, d, k) and the path.
+
+    A rank can only fall modulo a prime, so full rank of the Krylov rows
+    C*M^k modulo SCREEN_PRIME proves W = 0. Otherwise the exact rows that
+    were independent mod p have a kernel V containing W, and C*V = 0 with
+    M*V in V proves V = W; failing that, an exact iteration finds W.
+    """
+    n = len(m)
+    p = SCREEN_PRIME
+    screen = [[x % p for x in r] for r in m]
+    kept, parents = _krylov_rows(screen, [[x % p for x in r] for r in c], p)
+    if len(kept) == n:
+        return [], 1, [], "W = 0 mod p"
+    mt = list(zip(*m))
+    rows: list[list[int]] = []
+    for kind, i in parents:
+        rows.append(c[i] if kind == "C" else _row_times(rows[i], mt))
+    found = _invariant_kernel(m, c, rows)
+    how = "exact dim W = {}"
+    if found is None:
+        rows, how = _krylov_rows(m, c, None)[0], "exact dim W = {} after exact iteration"
+        found = _invariant_kernel(m, c, rows)
+    return (*found, how.format(len(found[0])))
+
+
+def _split(a: list[list[Fraction]], b: list[list[Fraction]]):
+    """Rows equivalent to the pencil a + t*b, as (a1, beta, a2) for
+    [a1 + beta*t*I; a2], or None when b lacks full column rank.
+
+    A search pencil's b is beta times a selection of one row per column, so
+    a row permutation suffices; otherwise b's rows are reduced to [I; 0].
+    """
+    n = len(a[0]) if a else 0
+    hits = sorted((j, i, x) for i, row in enumerate(b) for j, x in enumerate(row) if x)
+    sel = [i for _, i, _ in hits]
+    one_value = len({x for *_, x in hits}) <= 1
+    if [j for j, _, _ in hits] == list(range(n)) and len(set(sel)) == n and one_value:
+        rest = [row for i, row in enumerate(a) if i not in set(sel)]
+        return [a[i] for i in sel], hits[0][2] if hits else Fraction(1), rest
+    reduced, pivots, _ = rref(QMatrix.from_rows([rb + ra for rb, ra in zip(b, a)]))
+    if pivots[:n] != tuple(range(n)):
+        return None
+    rows = [reduced.row(i)[n:] for i in range(reduced.rows)]
+    return rows[:n], Fraction(1), rows[n:]
+
+
+def _deflate(a: list[list[Fraction]], b: list[list[Fraction]]):
+    """One staircase step (Van Dooren 1979) on a pencil a + t*b of full column
+    rank over Q(t) with a singular b. On a basis N of ker b the pencil is the
+    constant a*N, of full column rank, so row reduction turns it into
+    [[X(t), I], [a' + t*b', 0]]: (a', b') on b's pivot columns has the same
+    rank drops."""
+    reduced, pivots, rank = rref(QMatrix.from_rows(b))
+    null = [v.column(0) for v in _kernel_basis(reduced, pivots)]
+    aug = [
+        [sum(map(operator.mul, ra, v)) for v in null] + [r[j] for r in (ra, rb) for j in pivots]
+        for ra, rb in zip(a, b)
     ]
-    for k in range(1, m + 1):
-        for i in range(m, k - 1, -1):
-            dd[i], rem = divmod(dd[i] - dd[i - 1], xs[i] - xs[i - k])
-            if rem:
-                raise ArithmeticError("minor interpolation produced a non-integer")
-    # Horner's scheme on the Newton form
-    poly: list[int] = []
-    for x, c in zip(reversed(xs), reversed(dd)):
-        poly = _zp_mul(poly, [-x, 1]) or [0]
-        poly[0] += c
-    return _zp_trim(poly)
+    red, _, _ = rref(QMatrix.from_rows(aug))
+    rows = [red.row(i)[len(null) :] for i in range(len(null), red.rows)]
+    return [r[:rank] for r in rows], [r[rank:] for r in rows]
+
+
+def _canonical_basis(vectors: list[list[Fraction]]) -> list[QMatrix]:
+    """null_space's basis of the span of independent vectors. Its vectors
+    are 1 at their last nonzero entry and 0 at the others' (the free
+    columns), before each is scaled to a leading 1: the rref of the span
+    with the columns reversed."""
+    reduced, pivots, _ = rref(QMatrix.from_rows([v[::-1] for v in vectors]))
+    rows = [reduced.row(i)[::-1] for i in reversed(range(len(pivots)))]
+    return [QMatrix(len(v), 1, [e / next(x for x in v if x) for e in v]) for v in rows]
 
 
 def pencil_rank_drop(p: PencilMatrix, rng: random.Random | None = None) -> PencilRankDrop:
-    """Find the rational values of t at which the pencil loses column rank.
+    """Find the rational values of t at which the pencil loses column rank,
+    exactly and without randomness; rng is accepted and left untouched.
 
-    The generic rank is certified by exact evaluation: at a random integer
-    when the pencil has full column rank there (up to three tries), else as
-    the largest rank at cols + 1 distinct integers, which is exact because an
-    r x r minor has degree <= r in t and so vanishes at r of them at most.
-    When the pencil generically has full column rank, maximal minors are
-    sampled through fraction-free elimination under random row permutations;
-    their gcd is accumulated until it is constant, unchanged for
-    MINOR_STABLE_AFTER consecutive fresh minors, or MINOR_SAMPLE_CAP minors
-    have been drawn, and every rational root of the gcd is re-verified by
-    exact substitution before being reported as a candidate. The sampling
-    stop reason is recorded for audit.
+    A b of full column rank makes the rows equivalent to [a1 + beta*t*I; a2]
+    (_split): the rank drops where a1 has an eigenvector in ker a2, that is
+    at the eigenvalues of a1 on the unobservable subspace W of (a2, a1), the
+    largest a1-invariant subspace of ker a2. The gcd of the maximal minors
+    is the characteristic polynomial of a1 on W, in t; its rational roots
+    are the candidates and its rational-root-free part the residual.
+
+    Certificate (_unobservable): full rank of the Krylov rows a2*a1^k
+    modulo SCREEN_PRIME proves W = 0. Otherwise one exact kernel V of the
+    rows independent mod p contains W, and the exact checks a2*V = 0 and
+    a1*V in V prove V = W, with an exact iteration as the fallback. The
+    kernel at a candidate is V times the eigenvectors of a1 on W, in
+    null_space's canonical basis.
+
+    For a singular b the generic rank is the largest rank at t = 0..cols,
+    exact since an r x r minor vanishes at r of them at most; below cols the
+    pencil is parametric. Otherwise staircase steps (_deflate) shrink it until
+    b has full column rank; kernels then come from the substituted pencil.
     """
     if p.rows < p.cols:
         raise MalformedPencilError(f"pencil is {p.rows}x{p.cols}; need rows >= cols")
     if p.cols == 0:
         return PencilRankDrop(0, (), UniPoly.constant(1), False, 0, "empty pencil")
-    rng = rng if rng is not None else random.Random(0)
-
-    zrows = _pencil_to_int_rows(p)
-    # identically-zero rows belong to no nonzero minor and carry no rank
-    keep = [i for i, row in enumerate(zrows) if any(a or b for (a, b) in row)]
-    if not keep:
-        return PencilRankDrop(0, (), UniPoly(), True, 0, "zero pencil")
-    zrows = [zrows[i] for i in keep]
-    nrows = len(zrows)
-
-    # the random points are drawn lazily, so rng advances only up to the
-    # first point of full column rank
-    randoms = (rng.randrange(100_003, 1_000_003) for _ in range(3 if nrows >= p.cols else 0))
-    generic_rank, mat_tau = 0, None
-    for tau in itertools.chain(randoms, _small_points(p.cols + 1)):
-        mat = _evaluate(zrows, tau)
-        rank = len(_int_elim_pivot_rows(mat, range(nrows), p.cols)[0])
-        generic_rank = max(generic_rank, rank)
-        if rank == p.cols:
-            mat_tau = mat
-            break
-    if mat_tau is None:
-        return PencilRankDrop(
-            generic_rank, (), UniPoly(), True, 0, "generic rank below column count"
-        )
-
-    gcd_acc: list[int] | None = None
-    stable = 0
-    sampled = 0
-    stop_reason = "minor sample cap reached"
-    while sampled < MINOR_SAMPLE_CAP:
-        order = list(range(nrows))
-        rng.shuffle(order)
-        pivot_rows, _ = _int_elim_pivot_rows(mat_tau, order, p.cols)
-        minor = _zp_primitive(_interp_minor(zrows, pivot_rows))
-        sampled += 1
-        new = minor if gcd_acc is None else _zp_gcd(gcd_acc, minor)
-        stable = stable + 1 if new == gcd_acc else 0
-        gcd_acc = new
-        if len(gcd_acc) == 1:
-            stop_reason = "minor gcd became constant"
-            break
-        if stable >= MINOR_STABLE_AFTER:
-            stop_reason = f"minor gcd unchanged for {MINOR_STABLE_AFTER} consecutive fresh minors"
-            break
-
-    assert gcd_acc is not None
-    roots = _zp_rational_roots(gcd_acc) if len(gcd_acc) > 1 else []
-    candidates, kernels = [], []
-    for r in roots:
-        # rank over Z at t = num/den first; rref only where it drops, for the kernel
-        mat = [[r.denominator * a + r.numerator * b for a, b in row] for row in zrows]
-        if len(_int_elim_pivot_rows(mat, range(nrows), p.cols, stop_at_gap=True)[0]) < p.cols:
-            reduced, pivots, _ = rref(p.substitute(r))
-            candidates.append(r)
-            kernels.append(_kernel_basis(reduced, pivots))
-    residual = list(gcd_acc)
-    for r in roots:
-        lin = [-r.numerator, r.denominator]
-        while len(residual) > 1 and _zp_is_root(residual, r.numerator, r.denominator):
-            residual = _zp_divexact(residual, lin)
-    residual = _zp_primitive(residual)
-    return PencilRankDrop(
-        generic_rank,
-        tuple(candidates),
-        UniPoly(residual),
-        False,
-        sampled,
-        stop_reason,
-        tuple(kernels),
-    )
+    starts = range(0, p.rows * p.cols, p.cols)
+    a = [p.a[lo : lo + p.cols] for lo in starts]
+    b = [p.b[lo : lo + p.cols] for lo in starts]
+    split = _split(a, b)
+    deflated = split is None
+    if deflated:
+        generic_rank = max(rref(p.substitute(tau))[2] for tau in range(p.cols + 1))
+        if generic_rank < p.cols:
+            return PencilRankDrop(
+                generic_rank, (), UniPoly(), True, 0, "generic rank below column count"
+            )
+        while split is None:
+            a, b = _deflate(a, b)
+            split = _split(a, b)
+    a1, beta, a2 = split
+    m, den = _int_rows(a1, beta.denominator)
+    q = -int(beta * den)  # (a1 + beta*t*I)*v = 0 exactly when m*v = q*t*v
+    c, _ = _int_rows([row for row in a2 if any(row)])
+    basis, d, k, how = _unobservable(m, c)
+    # m acts on W as k/d, so t = lam/(d*q) for each eigenvalue lam of k
+    charpoly = _zp_primitive([x * (d * q) ** i for i, x in enumerate(_charpoly(k))])
+    candidates = _zp_rational_roots(charpoly)
+    residual, kernels = charpoly, []
+    for t0 in candidates:
+        if deflated:  # read off the pencil itself: W lives in deflated coordinates
+            kernels.append(null_space(p.substitute(t0)))
+        else:
+            lam = d * q * t0
+            shifted = [x - lam * (i == j) for i, row in enumerate(k) for j, x in enumerate(row)]
+            ys = [y.entries for y in null_space(QMatrix(len(k), len(k), shifted))]
+            vs = [[sum(map(operator.mul, y, col)) for col in zip(*basis)] for y in ys]
+            kernels.append(_canonical_basis(vs))
+        while _zp_is_root(residual, t0.numerator, t0.denominator):
+            residual = _zp_divide_root(residual, t0.numerator, t0.denominator)
+    residual = UniPoly(_zp_primitive(residual))
+    return PencilRankDrop(p.cols, tuple(candidates), residual, False, 0, how, tuple(kernels))

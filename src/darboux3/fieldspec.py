@@ -12,9 +12,10 @@ Field file grammar (UTF-8 text, '#' starts a comment):
     dz = <expr>
 
 Expressions admit +, -, *, / (by a nonzero constant only), ^ with integer
-exponents from 0 to MAX_EXPONENT, parentheses, integer literals, fractions
-such as 3/2, the variables x, y, z, and bound parameter names. Juxtaposition
-is not multiplication.
+exponents from 0 to MAX_EXPONENT, products and powers of degree up to
+MAX_DEGREE, parentheses, integer literals, fractions such as 3/2, the
+variables x, y, z, and bound parameter names. Juxtaposition is not
+multiplication.
 """
 
 from __future__ import annotations
@@ -152,6 +153,15 @@ def lie_derivative(f: FieldDef, h: Poly) -> Poly:
 
 # Largest exponent '^' accepts: repeated multiplication is quadratic in it.
 MAX_EXPONENT = 32
+# Largest degree of a parsed product or power, checked before multiplying, so
+# that nested powers such as ((x+y+z+1)^8)^8 are refused, not expanded.
+MAX_DEGREE = 32
+
+
+def _check_degree(degree: int, pos: int) -> None:
+    if degree > MAX_DEGREE:
+        raise NonPolynomialError(f"degree {degree} above {MAX_DEGREE}", pos)
+
 
 _TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])")
 
@@ -220,6 +230,7 @@ class _ExprParser:
                 self.take()
                 rhs = self.unary()
                 if val == "*":
+                    _check_degree(p.degree + rhs.degree, pos)
                     p = p * rhs
                 else:
                     if rhs.degree > 0:
@@ -256,6 +267,7 @@ class _ExprParser:
                     raise NonPolynomialError("negative exponent", epos)
                 if c > MAX_EXPONENT:
                     raise NonPolynomialError(f"exponent above {MAX_EXPONENT}", epos)
+                _check_degree(p.degree * int(c), epos)
                 p = p ** int(c)
             else:
                 return p

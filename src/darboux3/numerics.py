@@ -170,11 +170,16 @@ def _finite(s) -> bool:
     return all(math.isfinite(v) for v in s)
 
 
+# Most steps one trajectory keeps: a fixed-step run asking for more is refused
+# before it starts, an adaptive one (no count known in advance) on reaching it.
+MAX_SAMPLES = 1_000_000
+
+
 def integrate(f: FieldDef, x0, t_end: float, mode: StepMode) -> Trajectory:
     """Integrate dX/dt = f(X) from x0 over [0, t_end].
 
     Non-finite states do not raise: the trajectory is truncated at the last
-    finite sample and flagged.
+    finite sample and flagged. More than MAX_SAMPLES steps raise ValueError.
     """
     if not 0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
@@ -192,6 +197,8 @@ def integrate(f: FieldDef, x0, t_end: float, mode: StepMode) -> Trajectory:
     if mode.kind == "fixed":
         h = mode.value
         n_full = int(t_end / h + 1e-9)
+        if n_full > MAX_SAMPLES:
+            raise ValueError(f"t_end / h asks for {n_full} steps, above the cap of {MAX_SAMPLES}")
         t = 0.0
         s = x0
         for i in range(1, n_full + 1):
@@ -222,6 +229,8 @@ def integrate(f: FieldDef, x0, t_end: float, mode: StepMode) -> Trajectory:
                 truncated_at, reason = t + h, "non-finite state (blow-up)"
                 break
             if err <= tol or h <= 1e-12:
+                if len(times) > MAX_SAMPLES:
+                    raise ValueError(f"adaptive run above the cap of {MAX_SAMPLES} steps")
                 t += h
                 s = s_new
                 times.append(t)

@@ -5,14 +5,16 @@ For a pinned linear-in-y cofactor slope b2 (with b1 = b3 = 0) and unknown
 constant slot t, this solves X(h) = (t + b2*y)*h over all polynomials h of
 degree <= bound by a route disjoint from the production pencil machinery:
 sympy builds the coefficient matrix symbolically, candidate t values come
-from the rational roots of the Gram determinant det(M^T M) computed by
-division-free expansion (rank(M) = rank(M^T M) over the reals), and kernels
-come from sympy's nullspace. Used as the comparison oracle in tests.
+from the rational roots of the Gram determinant det(M^T M) (rank(M) =
+rank(M^T M) over the reals), computed by sympy's DomainMatrix over the
+polynomial ring QQ[t], and kernels come from sympy's nullspace. Used as the
+comparison oracle in tests.
 """
 
 from fractions import Fraction
 
 import sympy as sp
+from sympy.polys.matrices import DomainMatrix
 
 from darboux3.polyring import Monomial, Poly
 
@@ -59,7 +61,8 @@ def oracle_cell(alpha, beta, kappa, lam, b2, bound: int):
     for coeff in sp.Poly(rel, _x, _y, _z).coeffs():
         rows.append([sp.expand(sp.diff(coeff, c)) for c in cs])
     m = sp.Matrix(rows)
-    det = sp.expand((m.T * m).det(method="berkowitz"))
+    dm = DomainMatrix.from_Matrix(m).convert_to(sp.QQ[_t])
+    det = (dm.transpose() * dm).det().as_expr()
     if det == 0:
         return "parametric"
     out = []

@@ -52,13 +52,16 @@ class TestAnalyzeCommand:
         main(args + ["--out", str(tmp_path / "b.json")])
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
-    def test_seed_dependent_residual_note(self, tmp_path):
-        # this seed's sampled minors leave an irreducible quadratic in one cell
-        _, report = run_json(tmp_path, ["analyze"] + HSA_1001 + ["--degree", "2", "--seed", "217"])
-        assert (
-            "cell (b1=0, b2=0, b3=0): nonconstant residual t^2 + 2*t + 2; possible irrational "
-            "or complex eigen values not resolved"
-        ) in report["notes"]
+    def test_exact_residual_is_constant_and_seed_free(self, tmp_path):
+        # sampled minors used to leave t^2 + 2*t + 2 in cell b2=0 under seed
+        # 217; the seed is echoed, and the rest of the report is the same bytes
+        reports = []
+        for seed in (0, 12, 217):
+            out = tmp_path / f"{seed}.json"
+            main(["analyze"] + HSA_1001 + ["--degree", "2", "--seed", str(seed), "--out", str(out)])
+            reports.append(out.read_text().replace(f'"seed": {seed}', '"seed": null'))
+        assert "nonconstant residual" not in reports[0]
+        assert reports[1:] == reports[:1] * 2
 
     def test_coefficient_maps(self, tmp_path):
         _, report = run_json(tmp_path, ["analyze"] + HSA_1011 + ["--degree", "2"])
@@ -109,6 +112,14 @@ class TestModelValidation:
         code = main(["verify", "--field", str(field), "--poly", "y", "--cofactor", "1"])
         assert code == 2
         assert "exponent above" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("expr", ["(x^32)^3", "((x+y+z+1)^8)^8"])
+    def test_field_file_degree_above_cap(self, tmp_path, capsys, expr):
+        field = tmp_path / "f.txt"
+        field.write_text(f"dx = {expr}\ndy = y\ndz = z\n")
+        code = main(["verify", "--field", str(field), "--poly", "y", "--cofactor", "1"])
+        assert code == 2
+        assert "above 32" in capsys.readouterr().err
 
     def test_field_file_with_params(self, tmp_path):
         field = tmp_path / "f.txt"
@@ -297,6 +308,24 @@ class TestNumericCommands:
     def test_infinite_t_end_rejected(self, capsys, command):
         assert main(command + ["--t-end", "inf"]) == 2
         assert capsys.readouterr().err.startswith("error: t_end must be positive and finite")
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["simulate"] + HSA_1001 + ["--x0", "0.5,0.2,0.1"],
+            ["drift"] + HSA_1001 + ["--integral", "F1", "--x0", "0.5,0.2,0.1"],
+        ],
+        ids=["simulate", "drift"],
+    )
+    def test_sample_count_above_cap_rejected(self, capsys, monkeypatch, command):
+        from darboux3 import numerics
+
+        def no_step(*args):
+            raise AssertionError("integration ran")
+
+        monkeypatch.setattr(numerics, "_rk4_step", no_step)
+        assert main(command + ["--t-end", "1e9", "--h", "1e-9"]) == 2
+        assert "above the cap" in capsys.readouterr().err
 
     def test_drift_report(self, tmp_path):
         code, report = run_json(

@@ -294,13 +294,16 @@ class TestAnalyze:
         terms = combination_log_terms(v.combination_certs(), nontrivial[0].weights)
         assert lie_derivative_log_combination(v.model, terms).is_zero()
 
-    def test_seed_dependent_residual_note(self):
-        # this seed's sampled minors leave an irreducible quadratic in one cell
-        v = analyze(hsa(1, 0, 0, 0), 2, rng=random.Random(12))
-        assert (
-            "cell (b1=0, b2=2, b3=0): nonconstant residual t^2 + 2; possible irrational "
-            "or complex eigen values not resolved"
-        ) in v.notes.splitlines()
+    def test_exact_residual_is_constant_and_seed_free(self):
+        # sampled minors used to leave t^2 + 2 in cell b2=2 under seed 12; the
+        # exact residual of every cell is constant, so no cell gets a note
+        runs = [analyze(hsa(1, 0, 0, 0), 2, rng=random.Random(s)) for s in (0, 12, 217)]
+        assert "nonconstant residual" not in runs[0].notes
+        digests = [
+            (v.conclusion, v.notes, [c.describe() for c in v.darboux_polys + v.exp_factors])
+            for v in runs
+        ]
+        assert digests[1:] == digests[:1] * 2
 
     def test_zero_field_short_circuit(self):
         zero_field = FieldDef(Poly.zero(), Poly.zero(), Poly.zero())

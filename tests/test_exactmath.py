@@ -1,9 +1,12 @@
+import itertools
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from darboux3 import exactmath
 from darboux3.exactmath import (
     MalformedPencilError,
     PencilMatrix,
@@ -131,18 +134,31 @@ class TestPencilRankDrop:
             assert null_space(p.substitute(t0))
             assert kernel == null_space(p.substitute(t0))
 
-    def test_unlucky_random_points_fall_back_to_small_points(self):
-        # det = t (t - 1) (t + 1): the random points (all 0 here) and the first
-        # three small points 0, 1, -1 are rank drops; only the fourth, 2, is not
-        class ZeroRng(random.Random):
-            def randrange(self, *args):
-                return 0
-
+    def test_rng_state_untouched(self):
         p = PencilMatrix(3, 3, [lin(0, 1), 0, 0, 0, lin(-1, 1), 0, 0, 0, lin(1, 1)])
-        res = pencil_rank_drop(p, rng=ZeroRng(7))
-        assert res.generic_rank == 3
-        assert not res.parametric
+        rng = random.Random(7)
+        state = rng.getstate()
+        res = pencil_rank_drop(p, rng=rng)
+        assert rng.getstate() == state
         assert res.candidates == (F(-1), F(0), F(1))
+        assert res.minors_sampled == 0
+
+    def test_exact_iteration_when_the_screen_prime_divides(self, monkeypatch):
+        # rows t - 2 and 2: mod 2 the second row vanishes, so the screen keeps
+        # no row, the kernel check fails and the exact iteration finds W = 0
+        monkeypatch.setattr(exactmath, "SCREEN_PRIME", 2)
+        res = pencil_rank_drop(PencilMatrix(2, 1, [lin(-2, 1), lin(2, 0)]))
+        assert res.stop_reason == "exact dim W = 0 after exact iteration"
+        assert res.candidates == ()
+        assert res.residual == UniPoly([1])
+
+    def test_singular_b_is_deflated(self):
+        # column 2 carries no t, and every maximal minor is a multiple of t - 1
+        p = PencilMatrix(3, 2, [lin(-1, 1), 1, 0, 3, lin(2, -2), 6])
+        res = pencil_rank_drop(p)
+        assert not res.parametric
+        assert res.candidates == (F(1),)
+        assert res.kernels == (null_space(p.substitute(1)),)
 
     def test_deterministic_for_fixed_seed(self):
         p = PencilMatrix(2, 2, [lin(-1, 1), 0, 0, lin(-2, 1)])
@@ -261,6 +277,101 @@ def test_generic_rank_matches_rank_over_rational_functions(p):
     assert res.parametric == (expected < p.cols)
 
 
+@st.composite
+def reference_pencil(draw):
+    """A small pencil of one of the shapes pencil_rank_drop must handle: as
+    drawn, with a singular b, without full column rank over Q(t), or a
+    companion pencil t*I - C of a chosen determinant (repeated rational roots,
+    an irreducible t^2 + 2), mixed by constant row and column operations and
+    given one extra row, a constant combination of the others."""
+    mode = draw(st.sampled_from(["as drawn", "singular b", "deficient", "companion"]))
+    if mode == "deficient":
+        return draw(maybe_deficient_pencil())
+    if mode != "companion":
+        p = draw(small_pencil())
+        if mode == "singular b" and p.cols > 1:
+            k = draw(st.integers(min_value=-1, max_value=1))
+            for lo in range(0, p.rows * p.cols, p.cols):
+                p.b[lo + p.cols - 1] = k * p.b[lo]
+        return p
+    det = UniPoly([1])
+    for r in draw(st.lists(st.integers(min_value=-2, max_value=2), max_size=3)):
+        det = det * UniPoly([-r, 1])
+    if det.degree < 1 or draw(st.booleans()):
+        det = det * UniPoly([2, 0, 1])
+    n = det.degree
+    comp = [[F(int(i == j + 1)) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        comp[i][n - 1] = -det.coeffs[i]
+    unit = st.integers(min_value=-1, max_value=1)
+    mix_r = [[F(int(i == j)) if i <= j else F(draw(unit)) for j in range(n)] for i in range(n)]
+    mix_c = [[F(int(i == j)) if i >= j else F(draw(unit)) for j in range(n)] for i in range(n)]
+    extra = [F(draw(unit)) for _ in range(n)]
+
+    def mixed(mat):
+        rows = [[sum(x * y for x, y in zip(r, c)) for c in zip(*mat)] for r in mix_r]
+        rows = [[sum(x * y for x, y in zip(r, c)) for c in zip(*mix_c)] for r in rows]
+        rows.append([sum(e * x for e, x in zip(extra, c)) for c in zip(*rows)])
+        return [x for row in rows for x in row]
+
+    ident = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    return PencilMatrix.from_parts(n + 1, n, mixed([[-x for x in r] for r in comp]), mixed(ident))
+
+
+def _first_entry_one(vector):
+    lead = next(e for e in vector if e != 0)
+    return [e / lead for e in vector]
+
+
+@given(reference_pencil())
+@settings(max_examples=200, deadline=None)
+def test_pencil_rank_drop_matches_minor_gcd(p):
+    """candidates, residual, parametric and kernels against the gcd of all
+    maximal minors and the nullspace, both computed by sympy."""
+    import sympy
+
+    t = sympy.Symbol("t")
+    m = sympy.Matrix(
+        p.rows, p.cols, [sympy.Rational(x) + sympy.Rational(y) * t for x, y in zip(p.a, p.b)]
+    )
+    gcd = sympy.Integer(0)
+    for rows in itertools.combinations(range(p.rows), p.cols):
+        gcd = sympy.gcd(gcd, m.extract(list(rows), list(range(p.cols))).det())
+    res = pencil_rank_drop(p)
+    assert res.parametric == (gcd == 0)
+    if res.parametric:
+        assert res.residual.is_zero() and res.candidates == ()
+        return
+    roots, residual = [], sympy.Integer(1)
+    for factor, mult in sympy.Poly(gcd, t, domain="QQ").factor_list()[1]:
+        if factor.degree() == 1:
+            c1, c0 = factor.all_coeffs()
+            roots.append(F(str(-c0 / c1)))
+        else:
+            residual *= factor.as_expr() ** mult
+    assert res.candidates == tuple(sorted(roots))
+    expected = [F(str(c)) for c in reversed(sympy.Poly(residual, t).monic().all_coeffs())]
+    assert [c / res.residual.coeffs[-1] for c in res.residual.coeffs] == expected
+    for t0, kernel in zip(res.candidates, res.kernels, strict=True):
+        vectors = m.subs(t, sympy.Rational(t0.numerator, t0.denominator)).nullspace()
+        assert [v.column(0) for v in kernel] == [
+            _first_entry_one([F(str(e)) for e in v]) for v in vectors
+        ]
+
+
+@given(reference_pencil())
+@settings(max_examples=100, deadline=None)
+def test_unlucky_screen_prime_changes_no_result(p):
+    # modulo 2 the screen loses rank often, which sends cells down the
+    # exact-kernel check and, where that fails, the exact iteration
+    expected = pencil_rank_drop(p)
+    with mock.patch.object(exactmath, "SCREEN_PRIME", 2):
+        res = pencil_rank_drop(p)
+    assert (res.candidates, res.residual, res.parametric, res.kernels) == (
+        expected.candidates, expected.residual, expected.parametric, expected.kernels
+    )
+
+
 @given(
     st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=1, max_size=4),
 )
@@ -281,11 +392,7 @@ def test_rational_roots_complete_and_sound(roots):
 # Internal fraction-free helpers against independent references
 # ---------------------------------------------------------------------------
 
-from darboux3.exactmath import (  # noqa: E402
-    _int_elim_pivot_rows,
-    _zp_gcd,
-    _zp_mul,
-)
+from darboux3.exactmath import _int_rref  # noqa: E402
 
 
 def _det_cofactor(m):
@@ -310,7 +417,7 @@ def _det_cofactor(m):
 )
 @settings(max_examples=200, deadline=None)
 def test_int_det_matches_cofactor_expansion(m):
-    assert _int_elim_pivot_rows(m, range(len(m)), len(m))[1] == _det_cofactor(m)
+    assert _int_rref(m, len(m))[3] == _det_cofactor(m)
 
 
 @given(
@@ -324,61 +431,7 @@ def test_int_elimination_rank_matches_rref(rows, cols, data):
         [data.draw(st.integers(min_value=-4, max_value=4)) for _ in range(cols)]
         for _ in range(rows)
     ]
-    pivot_rows, _ = _int_elim_pivot_rows(mat, list(range(rows)), cols)
+    _, _, pivot_rows, _ = _int_rref(mat, cols)
     _, _, rank_frac = rref(QMatrix.from_rows(mat))
     assert len(pivot_rows) == rank_frac
     assert len(set(pivot_rows)) == len(pivot_rows)
-
-
-@st.composite
-def mixed_minor(draw):
-    """A square integer pencil block whose rows are, by draw, zero, t-free or
-    linear in t, as (a, b) pairs for a + b*t."""
-    n = draw(st.integers(min_value=1, max_value=5))
-    ints = st.integers(min_value=-3, max_value=3)
-    rows = []
-    for _ in range(n):
-        kind = draw(st.sampled_from(["zero", "t-free", "linear"]))
-        if kind == "zero":
-            rows.append([(0, 0)] * n)
-        elif kind == "t-free":
-            rows.append([(draw(ints), 0) for _ in range(n)])
-        else:
-            rows.append([(draw(ints), draw(ints)) for _ in range(n)])
-    return rows
-
-
-@given(mixed_minor(), st.randoms(use_true_random=False))
-@settings(max_examples=300, deadline=None)
-def test_interp_minor_matches_symbolic_determinant(rows, rnd):
-    import sympy
-
-    from darboux3.exactmath import _interp_minor
-
-    t = sympy.Symbol("t")
-    subset = list(range(len(rows)))
-    rnd.shuffle(subset)
-    det = sympy.Matrix([[a + b * t for a, b in rows[i]] for i in subset]).det()
-    poly = _interp_minor(rows, subset)
-    expected = sympy.Poly(sympy.expand(det), t).all_coeffs()[::-1]
-    assert poly == ([] if expected == [0] else [int(c) for c in expected])
-    assert len(poly) - 1 <= sum(any(b for _, b in row) for row in rows)
-
-
-small_zpoly = st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=4)
-
-
-@given(small_zpoly, small_zpoly, small_zpoly)
-@settings(max_examples=200, deadline=None)
-def test_zp_gcd_divides_common_multiples(a, b, g):
-    # coefficient lists carry no trailing zeros inside the module
-    from darboux3.exactmath import _zp_divexact, _zp_primitive, _zp_trim
-
-    a, b, g = _zp_trim(list(a)), _zp_trim(list(b)), _zp_trim(list(g))
-    if not (a and b and g):
-        return
-    d = _zp_gcd(_zp_mul(a, g), _zp_mul(b, g))
-    # d must be a multiple of the primitive part of g: exact division succeeds
-    gp = _zp_primitive(g)
-    quotient = _zp_divexact(list(d), gp) if len(d) >= len(gp) else None
-    assert quotient is not None

@@ -102,6 +102,16 @@ class TestParseExpression:
         with pytest.raises(NonPolynomialError):
             parse_expression(f"2^({fieldspec.MAX_EXPONENT} + 1)")
 
+    def test_degree_above_cap_rejected_before_multiplying(self):
+        from darboux3 import fieldspec
+
+        cap = fieldspec.MAX_DEGREE
+        assert parse_expression(f"x^{cap // 2}*y^{cap - cap // 2}").degree == cap
+        assert parse_expression(f"(x^2)^{cap // 2}").degree == cap
+        for text in (f"x^{cap}*y", "(x^32)^3", "((x+y+z+1)^8)^8"):
+            with pytest.raises(NonPolynomialError, match=f"above {cap}"):
+                parse_expression(text)
+
     def test_division_by_zero(self):
         with pytest.raises(ParseError):
             parse_expression("x/(1-1)")

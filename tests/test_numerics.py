@@ -69,6 +69,19 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             StepMode("weird", 0.1)
 
+    def test_sample_cap(self, monkeypatch):
+        from darboux3 import numerics
+
+        # the drift fixtures of acceptance criteria 5 and 6 (t = 10, step
+        # halving from h = 1e-3) stay under it
+        assert int(10.0 / (1e-3 / 2)) < numerics.MAX_SAMPLES
+        with pytest.raises(ValueError, match="above the cap"):
+            integrate(zero_field(), (0, 0, 0), 1e9, StepMode.fixed(1e-9))
+        monkeypatch.setattr(numerics, "MAX_SAMPLES", 50)
+        f = parse_field("dx = 0\ndy = 0\ndz = 0 - z\n")
+        with pytest.raises(ValueError, match="above the cap"):
+            integrate(f, (0.0, 0.0, 1.0), 1.0, StepMode.adaptive(1e-14))
+
 
 class TestEvalIntegral:
     def test_f1_direct_substitution(self):
