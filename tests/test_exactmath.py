@@ -323,6 +323,23 @@ def _first_entry_one(vector):
     return [e / lead for e in vector]
 
 
+def _check_against_minor_gcd(res, gcd, t):
+    """res against a nonzero minor gcd from sympy: its rational roots are the
+    candidates, and the product of its other factors is the residual."""
+    import sympy
+
+    roots, residual = [], sympy.Integer(1)
+    for factor, mult in sympy.Poly(gcd, t, domain="QQ").factor_list()[1]:
+        if factor.degree() == 1:
+            c1, c0 = factor.all_coeffs()
+            roots.append(F(str(-c0 / c1)))
+        else:
+            residual *= factor.as_expr() ** mult
+    assert res.candidates == tuple(sorted(roots))
+    expected = [F(str(c)) for c in reversed(sympy.Poly(residual, t).monic().all_coeffs())]
+    assert [c / res.residual.coeffs[-1] for c in res.residual.coeffs] == expected
+
+
 @given(reference_pencil())
 @settings(max_examples=200, deadline=None)
 def test_pencil_rank_drop_matches_minor_gcd(p):
@@ -342,16 +359,7 @@ def test_pencil_rank_drop_matches_minor_gcd(p):
     if res.parametric:
         assert res.residual.is_zero() and res.candidates == ()
         return
-    roots, residual = [], sympy.Integer(1)
-    for factor, mult in sympy.Poly(gcd, t, domain="QQ").factor_list()[1]:
-        if factor.degree() == 1:
-            c1, c0 = factor.all_coeffs()
-            roots.append(F(str(-c0 / c1)))
-        else:
-            residual *= factor.as_expr() ** mult
-    assert res.candidates == tuple(sorted(roots))
-    expected = [F(str(c)) for c in reversed(sympy.Poly(residual, t).monic().all_coeffs())]
-    assert [c / res.residual.coeffs[-1] for c in res.residual.coeffs] == expected
+    _check_against_minor_gcd(res, gcd, t)
     for t0, kernel in zip(res.candidates, res.kernels, strict=True):
         vectors = m.subs(t, sympy.Rational(t0.numerator, t0.denominator)).nullspace()
         assert [v.column(0) for v in kernel] == [
@@ -435,3 +443,100 @@ def test_int_elimination_rank_matches_rref(rows, cols, data):
     _, _, rank_frac = rref(QMatrix.from_rows(mat))
     assert len(pivot_rows) == rank_frac
     assert len(set(pivot_rows)) == len(pivot_rows)
+
+
+@st.composite
+def mixed_minor(draw):
+    """A square integer pencil whose rows are, by draw, zero, t-free or
+    linear in t, as (a, b) pairs for a + b*t."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    ints = st.integers(min_value=-3, max_value=3)
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["zero", "t-free", "linear"]))
+        if kind == "zero":
+            rows.append([(0, 0)] * n)
+        elif kind == "t-free":
+            rows.append([(draw(ints), 0) for _ in range(n)])
+        else:
+            rows.append([(draw(ints), draw(ints)) for _ in range(n)])
+    return rows
+
+
+@given(mixed_minor())
+@settings(max_examples=300, deadline=None)
+def test_interp_minor_matches_symbolic_determinant(rows):
+    """A square pencil's one maximal minor is its determinant. Zero rows make
+    it parametric; t-free rows make b singular, so the pencil goes through
+    the staircase deflation. The rank drop must match sympy's determinant,
+    whose degree is at most the number of rows that carry t."""
+    import sympy
+
+    t = sympy.Symbol("t")
+    n = len(rows)
+    det = sympy.expand(sympy.Matrix([[a + b * t for a, b in row] for row in rows]).det())
+    p = PencilMatrix.from_parts(
+        n, n, [F(a) for row in rows for a, _ in row], [F(b) for row in rows for _, b in row]
+    )
+    res = pencil_rank_drop(p)
+    assert res.parametric == (det == 0)
+    if res.parametric:
+        assert res.residual.is_zero() and res.candidates == ()
+        return
+    _check_against_minor_gcd(res, det, t)
+    t_rows = sum(any(b for _, b in row) for row in rows)
+    assert len(res.candidates) + res.residual.degree <= t_rows
+
+
+def _companion(poly):
+    """The companion matrix of a monic UniPoly: its characteristic polynomial
+    is poly, and its last coordinate observes it."""
+    n = poly.degree
+    return [[F(int(i == j + 1)) - (j == n - 1) * poly.coeffs[i] for j in range(n)] for i in range(n)]
+
+
+small_monic = st.lists(st.integers(min_value=-3, max_value=3), max_size=3).map(
+    lambda cs: UniPoly(cs + [1])
+)
+
+
+@given(small_monic, small_monic, small_monic.filter(lambda g: g.degree >= 1))
+@settings(max_examples=200, deadline=None)
+def test_zp_gcd_divides_common_multiples(a, b, g):
+    """The pencil [diag(C(a*g), C(b*g)) - t*I; c] of two companion matrices,
+    with c the sum of their last coordinates, has the gcd of a*g and b*g as
+    the gcd of its maximal minors: a common divisor that g divides."""
+    import sympy
+
+    blocks = [_companion(a * g), _companion(b * g)]
+    n = sum(len(blk) for blk in blocks)
+    a1 = [[F(0)] * n for _ in range(n)]
+    lo = 0
+    for blk in blocks:
+        for i, row in enumerate(blk):
+            a1[lo + i][lo : lo + len(row)] = row
+        lo += len(blk)
+    c = [F(0)] * n
+    c[len(blocks[0]) - 1] = c[n - 1] = F(1)
+    minus_i = [F(-int(i == j)) for i in range(n) for j in range(n)]
+    p = PencilMatrix.from_parts(
+        n + 1, n, [x for row in a1 for x in row] + c, minus_i + [F(0)] * n
+    )
+    res = pencil_rank_drop(p)
+    assert not res.parametric
+
+    t = sympy.Symbol("t")
+
+    def expr(poly):
+        return sum(sympy.Rational(x.numerator, x.denominator) * t**i for i, x in enumerate(poly.coeffs))
+
+    _check_against_minor_gcd(res, sympy.gcd(expr(a * g), expr(b * g)), t)
+    # g divides the minor gcd: its rational roots are candidates, and what
+    # is left of g once they are divided out divides the residual
+    g_rest = [int(x) for x in g.coeffs]
+    for r in rational_roots(g):
+        assert r in res.candidates
+        while exactmath._zp_is_root(g_rest, r.numerator, r.denominator):
+            g_rest = exactmath._zp_divide_root(g_rest, r.numerator, r.denominator)
+    g_rest_expr = sum(c * t**i for i, c in enumerate(g_rest))
+    assert sympy.rem(expr(res.residual), g_rest_expr, t) == 0
