@@ -304,15 +304,8 @@ def _zp_is_root(p: list[int], num: int, den: int) -> bool:
 
 def _divisors(n: int) -> list[int]:
     n = abs(n)
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
+    small = [i for i in range(1, math.isqrt(n) + 1) if n % i == 0]
+    return small + [n // i for i in reversed(small) if i * i != n]
 
 
 def _divisor_count(n: int, cap: int) -> int:
@@ -467,7 +460,7 @@ def _krylov_rows(m: list[list[int]], c: list[list[int]], prime: int | None) -> t
                     red = [(x - f * y) % prime for x, y in zip(red, b)]
                 elif f:
                     red = [b[j] * x - f * y for x, y in zip(red, b)]
-                    g = math.gcd(*red)
+                    g = math.gcd(*red) or 1  # 0 once red depends on the basis
                     red = [x // g for x in red]
             piv = next((j for j, x in enumerate(red) if x), None)
             if piv is None:

@@ -13,9 +13,9 @@ Field file grammar (UTF-8 text, '#' starts a comment):
 
 Expressions admit +, -, *, / (by a nonzero constant only), ^ with integer
 exponents from 0 to MAX_EXPONENT, products and powers of degree up to
-MAX_DEGREE, parentheses, integer literals, fractions such as 3/2, the
-variables x, y, z, and bound parameter names. Juxtaposition is not
-multiplication.
+MAX_DEGREE and coefficients of up to about MAX_COEFFICIENT_BITS bits,
+parentheses, integer literals, fractions such as 3/2, the variables x, y, z,
+and bound parameter names. Juxtaposition is not multiplication.
 """
 
 from __future__ import annotations
@@ -153,14 +153,23 @@ def lie_derivative(f: FieldDef, h: Poly) -> Poly:
 
 # Largest exponent '^' accepts: repeated multiplication is quadratic in it.
 MAX_EXPONENT = 32
-# Largest degree of a parsed product or power, checked before multiplying, so
-# that nested powers such as ((x+y+z+1)^8)^8 are refused, not expanded.
+# Largest degree and coefficient size in bits of a parsed product or power,
+# both checked before multiplying (the size as the sum of the factors' largest
+# |numerator|*denominator sizes), so that nested powers such as
+# ((x+y+z+1)^8)^8 and ((2^32)^32)^32 are refused, not expanded.
 MAX_DEGREE = 32
+MAX_COEFFICIENT_BITS = 4096
 
 
-def _check_degree(degree: int, pos: int) -> None:
+def _bits(p: Poly) -> int:
+    return max((abs(c.numerator) * c.denominator for c in p.terms.values()), default=0).bit_length()
+
+
+def _check_size(degree: int, bits: int, pos: int) -> None:
     if degree > MAX_DEGREE:
         raise NonPolynomialError(f"degree {degree} above {MAX_DEGREE}", pos)
+    if bits > MAX_COEFFICIENT_BITS:
+        raise NonPolynomialError(f"coefficients of {bits} bits above {MAX_COEFFICIENT_BITS}", pos)
 
 
 _TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])")
@@ -230,7 +239,7 @@ class _ExprParser:
                 self.take()
                 rhs = self.unary()
                 if val == "*":
-                    _check_degree(p.degree + rhs.degree, pos)
+                    _check_size(p.degree + rhs.degree, _bits(p) + _bits(rhs), pos)
                     p = p * rhs
                 else:
                     if rhs.degree > 0:
@@ -267,7 +276,7 @@ class _ExprParser:
                     raise NonPolynomialError("negative exponent", epos)
                 if c > MAX_EXPONENT:
                     raise NonPolynomialError(f"exponent above {MAX_EXPONENT}", epos)
-                _check_degree(p.degree * int(c), epos)
+                _check_size(p.degree * int(c), _bits(p) * int(c), epos)
                 p = p ** int(c)
             else:
                 return p

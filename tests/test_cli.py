@@ -113,13 +113,20 @@ class TestModelValidation:
         assert code == 2
         assert "exponent above" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("expr", ["(x^32)^3", "((x+y+z+1)^8)^8"])
-    def test_field_file_degree_above_cap(self, tmp_path, capsys, expr):
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ("(x^32)^3", "degree 96 above 32"),
+            ("((x+y+z+1)^8)^8", "degree 64 above 32"),
+            ("((((((2^32)^32)^32)^32)^32)^32)", "bits above 4096"),
+        ],
+    )
+    def test_field_file_degree_above_cap(self, tmp_path, capsys, expr, message):
         field = tmp_path / "f.txt"
         field.write_text(f"dx = {expr}\ndy = y\ndz = z\n")
         code = main(["verify", "--field", str(field), "--poly", "y", "--cofactor", "1"])
         assert code == 2
-        assert "above 32" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_field_file_with_params(self, tmp_path):
         field = tmp_path / "f.txt"

@@ -152,6 +152,29 @@ class TestPencilRankDrop:
         assert res.candidates == ()
         assert res.residual == UniPoly([1])
 
+    @pytest.mark.parametrize(
+        "rows, cols, candidates, how",
+        [
+            # W = 0, and the second row of C = [2; 2] depends on the first
+            ([lin(0, 1), 2, 2], 1, (), "exact dim W = 0"),
+            # W = 0, reached by the basis before the round's third row
+            ([lin(0, 1), 0, 0, lin(-1, 1), 2, 0, 0, 2, 2, 2], 2, (), "exact dim W = 0"),
+            # W = span e2, where the Krylov round of C = [2 0; 2 0] ends at zero
+            ([lin(-2, 1), 0, 0, lin(-1, 1), 2, 0, 2, 0], 2, (F(1),), "exact dim W = 1"),
+        ],
+        ids=["W=0, dependent C row", "W=0, basis full mid-round", "dim W=1"],
+    )
+    def test_exact_iteration_skips_dependent_rows(self, monkeypatch, rows, cols, candidates, how):
+        # every C row vanishes mod 2, so each pencil takes the exact iteration
+        p = PencilMatrix(len(rows) // cols, cols, rows)
+        expected = pencil_rank_drop(p)
+        monkeypatch.setattr(exactmath, "SCREEN_PRIME", 2)
+        res = pencil_rank_drop(p)
+        assert res.stop_reason == how + " after exact iteration"
+        assert res.candidates == expected.candidates == candidates
+        assert res.kernels == expected.kernels
+        assert res.residual == expected.residual == UniPoly([1])
+
     def test_singular_b_is_deflated(self):
         # column 2 carries no t, and every maximal minor is a multiple of t - 1
         p = PencilMatrix(3, 2, [lin(-1, 1), 1, 0, 3, lin(2, -2), 6])

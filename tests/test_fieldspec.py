@@ -112,6 +112,17 @@ class TestParseExpression:
             with pytest.raises(NonPolynomialError, match=f"above {cap}"):
                 parse_expression(text)
 
+    def test_coefficient_size_above_cap_rejected_before_multiplying(self):
+        from darboux3 import fieldspec
+
+        cap = fieldspec.MAX_COEFFICIENT_BITS
+        assert parse_expression("(2^32)^32") == Poly.constant(2**1024)
+        assert parse_expression("(3/2*x + 1)^32").degree == 32
+        power = "(2^32)^32"
+        for text in (f"({power})^32", "((((((2^32)^32)^32)^32)^32)^32)", "*".join([power] * 4)):
+            with pytest.raises(NonPolynomialError, match=f"bits above {cap}"):
+                parse_expression(text)
+
     def test_division_by_zero(self):
         with pytest.raises(ParseError):
             parse_expression("x/(1-1)")
