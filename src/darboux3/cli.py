@@ -321,7 +321,7 @@ def _require_degree(degree: int) -> None:
         raise CliError("--degree must be >= 1")
     if degree > HARD_DEGREE_CAP:
         raise CliError(
-            f"--degree is capped at {HARD_DEGREE_CAP} (exact pencils grow too fast beyond that)"
+            f"--degree is capped at {HARD_DEGREE_CAP} (a bound on run time and memory)"
         )
 
 

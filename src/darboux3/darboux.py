@@ -11,6 +11,7 @@ before it is reported.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -158,15 +159,21 @@ def _coefficient_spaces(
     return monomials_up_to(degree_bound, min_degree), index
 
 
-def _lie_matrix(f: FieldDef, domain: list[Monomial], index: dict[Monomial, int]) -> list[Fraction]:
-    """Row-major matrix of h -> X(h), from the domain monomials to the
-    codomain rows named by index."""
+def _lie_matrix(
+    f: FieldDef, domain: list[Monomial], index: dict[Monomial, int], values=()
+) -> tuple[list[int], int]:
+    """Row-major integer matrix of h -> D*X(h), from the domain monomials to
+    the codomain rows named by index, and D: the lcm of the denominators of
+    the field's coefficients and of values. X(h) of a monomial has the
+    field's denominators only, so they are cleared once, at assembly."""
+    coeffs = [c for p in f.components() for c in p.terms.values()]
+    scale = math.lcm(*(c.denominator for c in [*coeffs, *values]))
     cols = len(domain)
-    mat = [Fraction(0)] * (len(index) * cols)
+    mat = [0] * (len(index) * cols)
     for j, m in enumerate(domain):
         for mono, c in lie_derivative(f, Poly.term(m, 1)).terms.items():
-            mat[index[mono] * cols + j] = c
-    return mat
+            mat[index[mono] * cols + j] = int(c * scale)
+    return mat, scale
 
 
 def _slot_rows(domain: list[Monomial], index: dict[Monomial, int]) -> dict[str, list[int]]:
@@ -179,13 +186,15 @@ def _slot_rows(domain: list[Monomial], index: dict[Monomial, int]) -> dict[str, 
 
 
 def _minus_cofactor(
-    mat: list[Fraction], cols: int, slot_rows: dict[str, list[int]], coords: dict[str, Fraction]
-) -> list[Fraction]:
-    """A copy of the row-major matrix mat minus the matrix of
-    h -> sum(coords[slot] * slot monomial) * h."""
+    mat: list[int], cols: int, slot_rows: dict[str, list[int]], coords: dict, scale: int
+) -> list[int]:
+    """A copy of the row-major integer matrix mat minus scale times the matrix
+    of h -> sum(coords[slot] * slot monomial) * h, whose denominators scale
+    clears."""
     out = list(mat)
     for slot, v in coords.items():
         if v:
+            v = int(v * scale)
             for j, i in enumerate(slot_rows[slot]):
                 out[i * cols + j] -= v
     return out
@@ -199,11 +208,10 @@ def search_darboux_fixed(f: FieldDef, k: Cofactor, degree_bound: int) -> list[Po
     """
     domain, index = _coefficient_spaces(f, degree_bound, 1 if k.is_zero() else 0)
     coords = dict(zip(Cofactor.SLOT_MONOMIAL, k.coordinates()))
-    entries = _minus_cofactor(
-        _lie_matrix(f, domain, index), len(domain), _slot_rows(domain, index), coords
-    )
+    lie, scale = _lie_matrix(f, domain, index, coords.values())
+    entries = _minus_cofactor(lie, len(domain), _slot_rows(domain, index), coords, scale)
     out = []
-    for v in null_space(QMatrix(len(index), len(domain), entries)):
+    for v in null_space(QMatrix.from_parts(len(index), len(domain), entries)):
         p = poly_from_coeff_vector(v.column(0), domain).normalized()
         out.append(p)
     out.sort(key=lambda p: p.degree)  # stable: discovery order within a degree
@@ -213,17 +221,16 @@ def search_darboux_fixed(f: FieldDef, k: Cofactor, degree_bound: int) -> list[Po
 def search_exp_factors(f: FieldDef, degree_bound: int) -> list[DarbouxCert]:
     """All exponential factors e^g with deg g <= bound and a degree <= 1
     cofactor, modulo constants, from one exact null-space computation on the
-    joint linear system in (coefficients of g, b0..b3)."""
+    joint linear system in (coefficients of g, b0..b3), scaled to integers."""
     domain, index = _coefficient_spaces(f, degree_bound, 1)  # g modulo constants
     ng = len(domain)
-    lie = _lie_matrix(f, domain, index)
+    lie, scale = _lie_matrix(f, domain, index)
     entries = []
     for m, i in index.items():
         entries += lie[i * ng : (i + 1) * ng]
-        entries += [Fraction(-1 if m == mono else 0) for mono in Cofactor.SLOT_MONOMIAL.values()]
-    mat = QMatrix(len(index), ng + 4, entries)
+        entries += [-scale if m == mono else 0 for mono in Cofactor.SLOT_MONOMIAL.values()]
     certs = []
-    for v in null_space(mat):
+    for v in null_space(QMatrix.from_parts(len(index), ng + 4, entries)):
         vec = v.column(0)
         g = poly_from_coeff_vector(vec[:ng], domain)
         l = Cofactor(*vec[ng:])
@@ -251,20 +258,23 @@ def search_darboux_pencil(
     For each assignment of the enumerated slots, the relation X(h) = K*h with
     the eigen slot as unknown t becomes the pencil A - t*B, where A maps h to
     X(h) - (pinned part of K)*h and B multiplies h by the eigen slot's
-    monomial. The Lie matrix and the slot multiplications are assembled once;
-    each cell only subtracts its pinned slots. Rational rank-drop values of t
-    and their kernels are found by pencil_rank_drop and each kernel vector is
-    re-verified. B is injective, so no cell is parametric; a cell whose eigen
-    values include irrational or complex ones gets a note.
+    monomial. The Lie matrix and the slot multiplications are assembled once,
+    as integers scaled by the lcm D of the field's and the pinned values'
+    denominators; each cell only subtracts its pinned slots, and its pencil
+    D*A - t*D*B has the same rank drops, at the same t. Rational rank-drop
+    values of t and their kernels are found by pencil_rank_drop and each
+    kernel vector is re-verified. B is injective, so no cell is parametric;
+    a cell whose eigen values include irrational or complex ones gets a note.
     """
     domain, index = _coefficient_spaces(f, degree_bound, 0)
     if template.eigen is None:
         raise ValueError("template must have exactly one eigen slot")
 
     rows, cols = len(index), len(domain)
-    lie = _lie_matrix(f, domain, index)
+    swept = [v for _, vals in template.enumerated for v in vals]
+    lie, scale = _lie_matrix(f, domain, index, [v for _, v in template.fixed] + swept)
     slot_rows = _slot_rows(domain, index)
-    minus_b = _minus_cofactor([Fraction(0)] * (rows * cols), cols, slot_rows, {template.eigen: 1})
+    minus_b = _minus_cofactor([0] * (rows * cols), cols, slot_rows, {template.eigen: 1}, scale)
 
     notes: list[str] = []
     certs: list[DarbouxCert] = []
@@ -275,7 +285,7 @@ def search_darboux_pencil(
         pinned = dict(template.fixed)
         pinned.update(zip(sweep_slots, assignment))
         cell_name = ", ".join(f"{s}={v}" for s, v in sorted(pinned.items()))
-        a = _minus_cofactor(lie, cols, slot_rows, pinned)
+        a = _minus_cofactor(lie, cols, slot_rows, pinned, scale)
         pencil = PencilMatrix.from_parts(rows, cols, a, minus_b)
         result = pencil_rank_drop(pencil)  # B multiplies by a monomial: never parametric
         if result.residual.degree > 0:
@@ -416,8 +426,8 @@ def analyze(
         raise ValueError("degree bound must be >= 1")
     if degree_bound > HARD_DEGREE_CAP:
         raise ValueError(
-            f"degree bound {degree_bound} above the hard cap {HARD_DEGREE_CAP}; "
-            "the coefficient spaces grow too fast for exact pencils"
+            f"degree bound {degree_bound} above the hard cap {HARD_DEGREE_CAP}, "
+            "a bound on run time and memory"
         )
     notes: list[str] = []
     if degree_bound > DEFAULT_DEGREE_BOUND:

@@ -46,6 +46,13 @@ class QMatrix:
         return cls(rows, cols, [e for r in row_lists for e in r])
 
     @classmethod
+    def from_parts(cls, rows: int, cols: int, entries: list) -> "QMatrix":
+        """Build from a row-major list of ints or Fractions, kept, not copied."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.entries = rows, cols, entries
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "QMatrix":
         return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
 
@@ -87,54 +94,26 @@ class QMatrix:
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
-    """Gauss-Jordan reduction; returns (reduced matrix, pivot columns, rank)."""
-    work = [m.row(i) for i in range(m.rows)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        pivot_row = None
-        for i in range(r, m.rows):
-            if work[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [e * inv for e in work[r]]
-        for i in range(m.rows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    return QMatrix.from_rows(work), tuple(pivots), len(pivots)
+    """Gauss-Jordan reduction; returns (reduced matrix, pivot columns, rank).
+    Each row is cleared of denominators, which leaves the rref unchanged, and
+    reduced over Z by _int_rref; the rref is divided out once at the end."""
+    red, pivots, _, _ = _int_rref(_cleared(m.row(i) for i in range(m.rows)), m.cols)
+    d = red[0][pivots[0]] if pivots else 1
+    entries = [Fraction(x, d) for row in red for x in row]
+    entries += [Fraction(0)] * ((m.rows - len(red)) * m.cols)
+    return QMatrix.from_parts(m.rows, m.cols, entries), tuple(pivots), len(pivots)
 
 
 def null_space(m: QMatrix) -> list[QMatrix]:
     """Basis of the right kernel {v : m.v = 0}, each vector scaled so its
     first nonzero entry is 1. Empty list for a trivial kernel."""
-    reduced, pivots, _ = rref(m)
-    return _kernel_basis(reduced, pivots)
+    return [_lead_one(v) for v in _int_kernel(_cleared(m.row(i) for i in range(m.rows)), m.cols)[0]]
 
 
-def _kernel_basis(reduced: QMatrix, pivots: tuple[int, ...]) -> list[QMatrix]:
-    """null_space read off an rref result."""
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(reduced.cols) if c not in pivot_set]
-    basis = []
-    for f in free_cols:
-        v = [Fraction(0)] * reduced.cols
-        v[f] = Fraction(1)
-        for r_i, p_c in enumerate(pivots):
-            v[p_c] = -reduced.at(r_i, f)
-        lead = next(e for e in v if e != 0)
-        if lead != 1:
-            v = [e / lead for e in v]
-        basis.append(QMatrix(reduced.cols, 1, v))
-    return basis
+def _lead_one(v: list[int]) -> QMatrix:
+    """A nonzero integer vector as a column scaled to a leading 1."""
+    lead = next(x for x in v if x)
+    return QMatrix.from_parts(len(v), 1, [Fraction(x, lead) for x in v])
 
 
 class UniPoly:
@@ -214,8 +193,10 @@ class UniPoly:
 
 
 class PencilMatrix:
-    """Linear pencil A + t*B: A and B are row-major lists of Fractions, the
-    constant and t coefficients of each entry."""
+    """Linear pencil A + t*B: A and B are row-major lists of ints or
+    Fractions, the constant and t coefficients of each entry.
+    pencil_rank_drop clears their denominators once, so integer pencils
+    cost no conversion."""
 
     __slots__ = ("rows", "cols", "a", "b")
 
@@ -267,8 +248,9 @@ class PencilRankDrop:
 
 
 # ---------------------------------------------------------------------------
-# Integer polynomial helpers (coefficient lists, little-endian). The pencil
-# machinery clears denominators once and stays in Z[t] for speed.
+# Integer polynomial helpers (coefficient lists, little-endian). The exact
+# core works over Z: rref, null_space and pencil_rank_drop clear denominators
+# once, eliminate with _int_rref and divide only in the results they return.
 # ---------------------------------------------------------------------------
 
 
@@ -293,12 +275,10 @@ def _zp_divide_root(p: list[int], num: int, den: int) -> list[int]:
 
 def _zp_is_root(p: list[int], num: int, den: int) -> bool:
     """Test p(num/den) == 0 exactly (den > 0, gcd(num, den) = 1)."""
-    n = len(p) - 1
-    acc = p[-1]
-    qq = 1
-    for i in range(n - 1, -1, -1):
+    acc, qq = p[-1], 1
+    for c in reversed(p[:-1]):
         qq *= den
-        acc = acc * num + p[i] * qq
+        acc = acc * num + c * qq
     return acc == 0
 
 
@@ -367,9 +347,7 @@ def rational_roots(p: UniPoly) -> list[Fraction]:
     """Exactly the rational roots of p, sorted ascending, duplicates removed."""
     if p.is_zero():
         raise ValueError("zero polynomial: every value is a root")
-    den_lcm = math.lcm(*(c.denominator for c in p.coeffs))
-    zp = [int(c * den_lcm) for c in p.coeffs]
-    return _zp_rational_roots(zp)
+    return _zp_rational_roots(_cleared([p.coeffs])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +391,33 @@ def _int_rref(mat: list[list[int]], ncols: int) -> tuple[list, list[int], list[i
     return work[:r], pivots, labels[:r], sign * prev if r == len(work) == ncols else 0
 
 
+def _int_kernel(mat: list[list[int]], ncols: int) -> tuple[list, int, list[int], list[int]]:
+    """ker(mat) over Z, read off _int_rref: (basis, d, free, pivots) with one
+    basis vector per free column, d there and 0 at the other free columns,
+    where d is the common pivot value."""
+    red, pivots, _, _ = _int_rref(mat, ncols)
+    d = red[0][pivots[0]] if pivots else 1
+    row_of = dict(zip(pivots, red))
+    free = [j for j in range(ncols) if j not in row_of]
+    basis = [[-row_of[j][f] if j in row_of else d * (j == f) for j in range(ncols)] for f in free]
+    return basis, d, free, pivots
+
+
+def _cleared(rows, den: int | None = None) -> list[list[int]]:
+    """Rows of ints or Fractions as integer rows: each times den, or times
+    the lcm of its own denominators when den is None."""
+    rows = [(row, den or math.lcm(*{x.denominator for x in row})) for row in rows]
+    return [[x.numerator * (s // x.denominator) for x in row] for row, s in rows]
+
+
+def _sparse(vectors) -> list[list[tuple[int, int]]]:
+    """Each vector as the (index, entry) pairs of its nonzero entries."""
+    return [[(i, x) for i, x in enumerate(v) if x] for v in vectors]
+
+
 def _row_times(row: list[int], cols, prime: int | None = None) -> list[int]:
-    """row times the matrix with the given columns, mod prime unless None."""
-    out = [sum(map(operator.mul, row, col)) for col in cols]
+    """row times the matrix of the given _sparse columns, mod prime unless None."""
+    out = [sum([row[i] * x for i, x in col]) for col in cols]
     return [x % prime for x in out] if prime else out
 
 
@@ -426,18 +428,11 @@ def _charpoly(k: list[list[int]]) -> list[int]:
     coeffs = [1]
     acc = [[0] * d for _ in range(d)]
     for i in range(1, d + 1):
-        cols = list(zip(*(
-            [x + coeffs[-1] * (r == s) for s, x in enumerate(row)] for r, row in enumerate(acc)
-        )))
+        shifted = [[x + coeffs[-1] * (r == s) for s, x in enumerate(w)] for r, w in enumerate(acc)]
+        cols = _sparse(zip(*shifted))
         acc = [_row_times(row, cols) for row in k]
         coeffs.append(-sum(acc[r][r] for r in range(d)) // i)
     return coeffs[::-1]
-
-
-def _int_rows(rows: list[list[Fraction]], den: int = 1) -> tuple[list[list[int]], int]:
-    """The rows scaled by the lcm of den and their denominators, and that lcm."""
-    den = math.lcm(den, *(x.denominator for row in rows for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
 def _krylov_rows(m: list[list[int]], c: list[list[int]], prime: int | None) -> tuple[list, list]:
@@ -445,7 +440,7 @@ def _krylov_rows(m: list[list[int]], c: list[list[int]], prime: int | None) -> t
     Q for None), multiplying by M only the rows each power adds. Returns the
     kept rows as the unreduced products C_i*M^k, and the parent of each:
     ("C", i), or ("M", j) for kept row j times M."""
-    mt = list(zip(*m))
+    mt = _sparse(zip(*m))
     basis: list[tuple[int, list[int]]] = []  # (pivot column, reduced row)
     kept: list[list[int]] = []
     parents: list[tuple[str, int]] = []
@@ -480,20 +475,11 @@ def _invariant_kernel(m: list[list[int]], c: list[list[int]], rows: list[list[in
     """(basis, d, k) for V = ker(rows) when C*V = 0 and M*V lies in V, else
     None. Each basis vector is d times a unit vector on the free columns of
     rows, and k is the integer matrix with M*basis = basis*k/d."""
-    n = len(m)
-    red, pivots, _, _ = _int_rref(rows, n)
-    d = red[0][pivots[0]] if pivots else 1
-    free = [j for j in range(n) if j not in set(pivots)]
-    basis = []
-    for f in free:
-        v = [0] * n
-        v[f] = d
-        for row, piv in zip(red, pivots):
-            v[piv] = -row[f]
-        basis.append(v)
-    mv = [_row_times(v, m) for v in basis]  # M*v, one per basis vector
+    basis, d, free, _ = _int_kernel(rows, len(m))
+    rows_m = _sparse(m)
+    mv = [_row_times(v, rows_m) for v in basis]  # M*v, one per basis vector
     in_ker_c = not any(sum(map(operator.mul, row, v)) for row in c for v in basis)
-    if not in_ker_c or [_row_times([w[f] for f in free], list(zip(*basis))) for w in mv] != [
+    if not in_ker_c or [_row_times([w[f] for f in free], _sparse(zip(*basis))) for w in mv] != [
         [d * x for x in w] for w in mv
     ]:
         return None
@@ -515,7 +501,7 @@ def _unobservable(m: list[list[int]], c: list[list[int]]):
     kept, parents = _krylov_rows(screen, [[x % p for x in r] for r in c], p)
     if len(kept) == n:
         return [], 1, [], "W = 0 mod p"
-    mt = list(zip(*m))
+    mt = _sparse(zip(*m))
     rows: list[list[int]] = []
     for kind, i in parents:
         rows.append(c[i] if kind == "C" else _row_times(rows[i], mt))
@@ -527,12 +513,13 @@ def _unobservable(m: list[list[int]], c: list[list[int]]):
     return (*found, how.format(len(found[0])))
 
 
-def _split(a: list[list[Fraction]], b: list[list[Fraction]]):
+def _split(a: list[list[int]], b: list[list[int]]):
     """Rows equivalent to the pencil a + t*b, as (a1, beta, a2) for
     [a1 + beta*t*I; a2], or None when b lacks full column rank.
 
     A search pencil's b is beta times a selection of one row per column, so
-    a row permutation suffices; otherwise b's rows are reduced to [I; 0].
+    a row permutation suffices; otherwise b's rows are reduced to [I; 0],
+    scaled by _int_rref's pivot value.
     """
     n = len(a[0]) if a else 0
     hits = sorted((j, i, x) for i, row in enumerate(b) for j, x in enumerate(row) if x)
@@ -540,39 +527,36 @@ def _split(a: list[list[Fraction]], b: list[list[Fraction]]):
     one_value = len({x for *_, x in hits}) <= 1
     if [j for j, _, _ in hits] == list(range(n)) and len(set(sel)) == n and one_value:
         rest = [row for i, row in enumerate(a) if i not in set(sel)]
-        return [a[i] for i in sel], hits[0][2] if hits else Fraction(1), rest
-    reduced, pivots, _ = rref(QMatrix.from_rows([rb + ra for rb, ra in zip(b, a)]))
-    if pivots[:n] != tuple(range(n)):
+        return [a[i] for i in sel], hits[0][2] if hits else 1, rest
+    red, pivots, _, _ = _int_rref([rb + ra for rb, ra in zip(b, a)], 2 * n)
+    if pivots[:n] != list(range(n)):
         return None
-    rows = [reduced.row(i)[n:] for i in range(reduced.rows)]
-    return rows[:n], Fraction(1), rows[n:]
+    rows = [r[n:] for r in red]
+    return rows[:n], red[0][0], rows[n:]
 
 
-def _deflate(a: list[list[Fraction]], b: list[list[Fraction]]):
+def _deflate(a: list[list[int]], b: list[list[int]]):
     """One staircase step (Van Dooren 1979) on a pencil a + t*b of full column
     rank over Q(t) with a singular b. On a basis N of ker b the pencil is the
     constant a*N, of full column rank, so row reduction turns it into
     [[X(t), I], [a' + t*b', 0]]: (a', b') on b's pivot columns has the same
     rank drops."""
-    reduced, pivots, rank = rref(QMatrix.from_rows(b))
-    null = [v.column(0) for v in _kernel_basis(reduced, pivots)]
+    null, _, _, pivots = _int_kernel(b, len(b[0]))
     aug = [
         [sum(map(operator.mul, ra, v)) for v in null] + [r[j] for r in (ra, rb) for j in pivots]
         for ra, rb in zip(a, b)
     ]
-    red, _, _ = rref(QMatrix.from_rows(aug))
-    rows = [red.row(i)[len(null) :] for i in range(len(null), red.rows)]
-    return [r[:rank] for r in rows], [r[rank:] for r in rows]
+    rows = [r[len(null) :] for r in _int_rref(aug, len(aug[0]))[0][len(null) :]]
+    return [r[: len(pivots)] for r in rows], [r[len(pivots) :] for r in rows]
 
 
-def _canonical_basis(vectors: list[list[Fraction]]) -> list[QMatrix]:
+def _canonical_basis(vectors: list[list[int]]) -> list[QMatrix]:
     """null_space's basis of the span of independent vectors. Its vectors
     are 1 at their last nonzero entry and 0 at the others' (the free
     columns), before each is scaled to a leading 1: the rref of the span
     with the columns reversed."""
-    reduced, pivots, _ = rref(QMatrix.from_rows([v[::-1] for v in vectors]))
-    rows = [reduced.row(i)[::-1] for i in reversed(range(len(pivots)))]
-    return [QMatrix(len(v), 1, [e / next(x for x in v if x) for e in v]) for v in rows]
+    red = _int_rref([v[::-1] for v in vectors], len(vectors[0]))[0]
+    return [_lead_one(row[::-1]) for row in reversed(red)]
 
 
 def pencil_rank_drop(p: PencilMatrix, rng: random.Random | None = None) -> PencilRankDrop:
@@ -602,13 +586,17 @@ def pencil_rank_drop(p: PencilMatrix, rng: random.Random | None = None) -> Penci
         raise MalformedPencilError(f"pencil is {p.rows}x{p.cols}; need rows >= cols")
     if p.cols == 0:
         return PencilRankDrop(0, (), UniPoly.constant(1), False, 0, "empty pencil")
+    den = math.lcm(*{x.denominator for x in p.a + p.b})
     starts = range(0, p.rows * p.cols, p.cols)
-    a = [p.a[lo : lo + p.cols] for lo in starts]
-    b = [p.b[lo : lo + p.cols] for lo in starts]
+    a = _cleared((p.a[lo : lo + p.cols] for lo in starts), den)
+    b = _cleared((p.b[lo : lo + p.cols] for lo in starts), den)
     split = _split(a, b)
     deflated = split is None
     if deflated:
-        generic_rank = max(rref(p.substitute(tau))[2] for tau in range(p.cols + 1))
+        generic_rank = max(
+            len(_int_rref([[x + tau * y for x, y in zip(*rows)] for rows in zip(a, b)], p.cols)[1])
+            for tau in range(p.cols + 1)
+        )
         if generic_rank < p.cols:
             return PencilRankDrop(
                 generic_rank, (), UniPoly(), True, 0, "generic rank below column count"
@@ -616,24 +604,23 @@ def pencil_rank_drop(p: PencilMatrix, rng: random.Random | None = None) -> Penci
         while split is None:
             a, b = _deflate(a, b)
             split = _split(a, b)
-    a1, beta, a2 = split
-    m, den = _int_rows(a1, beta.denominator)
-    q = -int(beta * den)  # (a1 + beta*t*I)*v = 0 exactly when m*v = q*t*v
-    c, _ = _int_rows([row for row in a2 if any(row)])
-    basis, d, k, how = _unobservable(m, c)
-    # m acts on W as k/d, so t = lam/(d*q) for each eigenvalue lam of k
-    charpoly = _zp_primitive([x * (d * q) ** i for i, x in enumerate(_charpoly(k))])
+    m, beta, a2 = split  # (m + beta*t*I)*v = 0 exactly when m*v = -beta*t*v
+    basis, d, k, how = _unobservable(m, [row for row in a2 if any(row)])
+    # m acts on W as k/d, so t = -lam/(d*beta) for each eigenvalue lam of k
+    charpoly = _zp_primitive([x * (-d * beta) ** i for i, x in enumerate(_charpoly(k))])
     candidates = _zp_rational_roots(charpoly)
     residual, kernels = charpoly, []
     for t0 in candidates:
         if deflated:  # read off the pencil itself: W lives in deflated coordinates
             kernels.append(null_space(p.substitute(t0)))
         else:
-            lam = d * q * t0
-            shifted = [x - lam * (i == j) for i, row in enumerate(k) for j, x in enumerate(row)]
-            ys = [y.entries for y in null_space(QMatrix(len(k), len(k), shifted))]
-            vs = [[sum(map(operator.mul, y, col)) for col in zip(*basis)] for y in ys]
-            kernels.append(_canonical_basis(vs))
+            lam = -d * beta * t0
+            shifted = [
+                [x * lam.denominator - lam.numerator * (i == j) for j, x in enumerate(row)]
+                for i, row in enumerate(k)
+            ]
+            ys = _int_kernel(shifted, len(k))[0]
+            kernels.append(_canonical_basis([_row_times(y, _sparse(zip(*basis))) for y in ys]))
         while _zp_is_root(residual, t0.numerator, t0.denominator):
             residual = _zp_divide_root(residual, t0.numerator, t0.denominator)
     residual = UniPoly(_zp_primitive(residual))

@@ -14,8 +14,9 @@ Field file grammar (UTF-8 text, '#' starts a comment):
 Expressions admit +, -, *, / (by a nonzero constant only), ^ with integer
 exponents from 0 to MAX_EXPONENT, products and powers of degree up to
 MAX_DEGREE and coefficients of up to about MAX_COEFFICIENT_BITS bits,
-parentheses, integer literals, fractions such as 3/2, the variables x, y, z,
-and bound parameter names. Juxtaposition is not multiplication.
+parentheses, signs and exponents nested up to MAX_NESTING deep, integer
+literals, fractions such as 3/2, the variables x, y, z, and bound parameter
+names. Juxtaposition is not multiplication.
 """
 
 from __future__ import annotations
@@ -159,6 +160,8 @@ MAX_EXPONENT = 32
 # ((x+y+z+1)^8)^8 and ((2^32)^32)^32 are refused, not expanded.
 MAX_DEGREE = 32
 MAX_COEFFICIENT_BITS = 4096
+# Deepest nesting of parentheses, signs and exponents the recursive parser takes.
+MAX_NESTING = 100
 
 
 def _bits(p: Poly) -> int:
@@ -172,31 +175,25 @@ def _check_size(degree: int, bits: int, pos: int) -> None:
         raise NonPolynomialError(f"coefficients of {bits} bits above {MAX_COEFFICIENT_BITS}", pos)
 
 
-_TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])")
+_TOKEN_RE = re.compile(
+    r"\s+|(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])|(?P<bad>.)", re.S
+)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(("eof", "", n))
-    return tokens
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        if m.lastgroup:  # None for whitespace
+            tokens.append((m.lastgroup, m.group(), m.start()))
+    return tokens + [("eof", "", len(text))]
 
 
 class _ExprParser:
     def __init__(self, text: str, bindings: dict[str, Fraction]) -> None:
         self.tokens = _tokenize(text)
-        self.i = 0
+        self.i = self.depth = 0
         self.bindings = bindings
 
     def peek(self):
@@ -252,12 +249,18 @@ class _ExprParser:
                 return p
 
     def unary(self) -> Poly:
-        kind, val, _ = self.peek()
+        kind, val, pos = self.peek()
+        self.depth += 1  # parentheses, signs and exponents all recurse through here
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING}", pos)
         if kind == "op" and val in "+-":
             self.take()
             p = self.unary()
-            return p if val == "+" else -p
-        return self.power()
+            p = p if val == "+" else -p
+        else:
+            p = self.power()
+        self.depth -= 1
+        return p
 
     def power(self) -> Poly:
         p = self.atom()

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import darboux3
 from darboux3.cli import main
@@ -69,9 +73,10 @@ class TestAnalyzeCommand:
         assert cert["body"]["coefficients"] == {"x": "1"}
         assert cert["cofactor"]["coefficients"] == {"y": "1", "1": "-1"}
 
-    def test_degree_cap(self, tmp_path):
+    def test_degree_cap(self, tmp_path, capsys):
         code, _ = run_json(tmp_path, ["analyze"] + HSA_1011 + ["--degree", "9"])
         assert code == 2
+        assert "capped at 6 (a bound on run time and memory)" in capsys.readouterr().err
 
 
 class TestModelValidation:
@@ -128,6 +133,20 @@ class TestModelValidation:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "expr",
+        ["(" * 200 + "x" + ")" * 200, "-" * 1000 + "x", "x" + "^1" * 500],
+        ids=["parentheses", "signs", "exponents"],
+    )
+    def test_field_file_nesting_above_cap(self, tmp_path, capsys, expr):
+        # the parser recurses once per level, so nesting is capped well below
+        # the interpreter's recursion limit
+        field = tmp_path / "f.txt"
+        field.write_text(f"dx = {expr}\ndy = y\ndz = z\n")
+        code = main(["verify", "--field", str(field), "--poly", "y", "--cofactor", "1"])
+        assert code == 2
+        assert "nesting deeper than 100" in capsys.readouterr().err
+
     def test_field_file_with_params(self, tmp_path):
         field = tmp_path / "f.txt"
         field.write_text(
@@ -149,6 +168,32 @@ class TestModelValidation:
             )
             assert code == 0
             assert report["model"]["dx"] == "3/2*x"
+
+
+# field-file text over the grammar's alphabet: free text, and three
+# definition lines whose bodies are free text
+_EXPR_CHARS = st.sampled_from(list("0123456789xyz+-*/^(). "))
+_FIELD_PIECES = st.sampled_from(list("0123456789xyz+-*/^(). \n") + ["dx = ", "dy = ", "dz = "])
+field_file_text = st.one_of(
+    st.lists(_FIELD_PIECES, max_size=80).map("".join),
+    st.lists(st.lists(_EXPR_CHARS, max_size=40).map("".join), min_size=3, max_size=3).map(
+        lambda bodies: "".join(f"d{v} = {b}\n" for v, b in zip("xyz", bodies))
+    ),
+)
+
+
+@given(field_file_text)
+@settings(max_examples=200, deadline=2000)
+def test_field_file_fuzz_ends_in_documented_exit_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        field = os.path.join(tmp, "f.txt")
+        with open(field, "w") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--field", field, "--poly", "y", "--cofactor", "1"])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 class TestVerifyCommand:

@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from darboux3.darboux import (
     CofactorTemplate,
@@ -403,3 +405,54 @@ class TestFractionalParameters:
         assert v.conclusion == "none_up_to_bound"
         assert [str(c.body) for c in v.darboux_polys] == ["x", "x^2", "x^3"]
         assert str(v.darboux_polys[0].cofactor) == "y - 1"
+
+
+# ---------------------------------------------------------------------------
+# Scaling the field: the searches clear denominators by the lcm D of the
+# field's and the pinned values' denominators, which must change nothing
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def scaled_field_case(draw):
+    """A rational field of degree <= 2 with an invariant plane x = 0 (cofactor
+    L) and an exponential factor e^z (X(z) linear) in some draws, a cofactor
+    K, and a factor c > 0: a random rational or the lcm of the field's
+    denominators, which makes c*X integral."""
+    q = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+    def poly(degree):
+        return Poly({m: draw(q) for m in monomials_up_to(degree)})
+
+    lin = poly(1)
+    fx = X * lin if draw(st.booleans()) else poly(2)
+    fz = poly(1) if draw(st.booleans()) else poly(2)
+    f = FieldDef(fx, poly(2), fz)
+    k = Cofactor.from_poly(lin) if draw(st.booleans()) else Cofactor(*(draw(q) for _ in range(4)))
+    lcm = math.lcm(*(c.denominator for p in f.components() for c in p.terms.values()))
+    c = draw(st.one_of(st.just(F(lcm)), st.fractions(min_value=F(1, 8), max_value=8, max_denominator=9)))
+    return f, k, c
+
+
+@given(scaled_field_case())
+@settings(max_examples=40, deadline=None)
+def test_searches_invariant_under_field_scaling(case):
+    f, k, c = case
+    cf = FieldDef(*(p.scale(c) for p in f.components()))
+    assert search_darboux_fixed(cf, k.scale(c), 2) == search_darboux_fixed(f, k, 2)
+
+    exps, c_exps = search_exp_factors(f, 2), search_exp_factors(cf, 2)
+    assert [e.body for e in c_exps] == [e.body for e in exps]
+    assert [e.cofactor for e in c_exps] == [e.cofactor.scale(c) for e in exps]
+
+    def template(s):
+        return CofactorTemplate(
+            fixed=(("b1", s * k.b1), ("b3", s * k.b3)),
+            eigen="b0",
+            enumerated=(("b2", (s * k.b2, s * (k.b2 + 1), 0)),),
+        )
+
+    certs, _ = search_darboux_pencil(f, template(1), 2)
+    c_certs, _ = search_darboux_pencil(cf, template(c), 2)
+    assert [(e.body, e.primitive) for e in c_certs] == [(e.body, e.primitive) for e in certs]
+    assert [e.cofactor for e in c_certs] == [e.cofactor.scale(c) for e in certs]

@@ -55,6 +55,11 @@ class TestNullSpace:
         basis = null_space(QMatrix.zero(2, 2))
         assert [v.column(0) for v in basis] == [[F(1), F(0)], [F(0), F(1)]]
 
+    def test_no_rows(self):
+        # a 0 x 2 matrix keeps its shape, and its kernel is all of Q^2
+        assert rref(QMatrix(0, 2, []))[0] == QMatrix(0, 2, [])
+        assert [v.column(0) for v in null_space(QMatrix(0, 2, []))] == [[1, 0], [0, 1]]
+
     def test_first_nonzero_entry_is_one(self):
         basis = null_space(QMatrix.from_rows([[2, 4, 6], [1, 2, 3]]))
         for v in basis:
@@ -234,6 +239,49 @@ def test_rref_row_space_preserved(m):
     )
     _, _, stacked_rank = rref(stacked)
     assert stacked_rank == rank
+
+
+@st.composite
+def rational_matrix(draw):
+    """Wide, tall and square matrices up to 6 x 6 with mixed denominators,
+    where rows may be zero, copies of earlier rows or combinations of them."""
+    rows = draw(st.integers(min_value=1, max_value=6))
+    cols = draw(st.integers(min_value=1, max_value=6))
+    entry = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+    mat = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "copy", "combination"]))
+        if kind == "zero":
+            mat.append([F(0)] * cols)
+        elif kind == "copy" and mat:
+            mat.append(list(draw(st.sampled_from(mat))))
+        elif kind == "combination" and mat:
+            a, b = draw(entry), draw(entry)
+            r1, r2 = draw(st.sampled_from(mat)), draw(st.sampled_from(mat))
+            mat.append([a * x + b * y for x, y in zip(r1, r2)])
+        else:
+            mat.append([draw(entry) for _ in range(cols)])
+    return mat
+
+
+@given(rational_matrix())
+@settings(max_examples=150, deadline=None)
+def test_rref_and_null_space_match_sympy(rows):
+    """rref against sympy's Matrix.rref: the same reduced entries, pivots and
+    rank, exactly; null_space against sympy's nullspace, leading entries 1."""
+    import sympy
+
+    m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows])
+    want, want_pivots = m.rref()
+    reduced, pivots, rank = rref(QMatrix.from_rows(rows))
+    assert pivots == tuple(want_pivots)
+    assert rank == len(want_pivots)
+    assert (reduced.rows, reduced.cols) == m.shape
+    assert reduced.entries == [F(int(e.p), int(e.q)) for e in want]
+    assert all(type(e) is F for e in reduced.entries)
+    assert [v.column(0) for v in null_space(QMatrix.from_rows(rows))] == [
+        _first_entry_one([F(int(e.p), int(e.q)) for e in v]) for v in m.nullspace()
+    ]
 
 
 @st.composite
