@@ -453,7 +453,7 @@ def cmd_combine(args) -> int:
     cfg = RunConfig("combine", args)
     try:
         source = json.loads(Path(args.from_report).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # deep nesting: RecursionError
         raise CliError(f"--from: cannot load report: {exc}")
     if not isinstance(source, dict):
         raise CliError("--from: a report must be a JSON object")

@@ -164,15 +164,19 @@ def _lie_matrix(
 ) -> tuple[list[int], int]:
     """Row-major integer matrix of h -> D*X(h), from the domain monomials to
     the codomain rows named by index, and D: the lcm of the denominators of
-    the field's coefficients and of values. X(h) of a monomial has the
-    field's denominators only, so they are cleared once, at assembly."""
+    the field's coefficients and of values. Column m adds m[i]*D*c at the
+    row of (m/x_i)*mono, for each term c*mono of component i."""
     coeffs = [c for p in f.components() for c in p.terms.values()]
     scale = math.lcm(*(c.denominator for c in [*coeffs, *values]))
+    terms = [[(mono, int(c * scale)) for mono, c in p.terms.items()] for p in f.components()]
     cols = len(domain)
     mat = [0] * (len(index) * cols)
     for j, m in enumerate(domain):
-        for mono, c in lie_derivative(f, Poly.term(m, 1)).terms.items():
-            mat[index[mono] * cols + j] = int(c * scale)
+        for i, component in enumerate(terms):
+            if m[i]:
+                low = [e - (v == i) for v, e in enumerate(m)]
+                for mono, c in component:
+                    mat[index[Monomial(*(a + b for a, b in zip(low, mono)))] * cols + j] += m[i] * c
     return mat, scale
 
 

@@ -234,8 +234,10 @@ class PencilRankDrop:
     and kernels the null space of the pencil at each candidate, in the same
     order. residual is the part of the gcd of all maximal minors that has no
     rational roots (zero for a parametric pencil); a nonconstant residual
-    means rank drops at irrational or complex t. minors_sampled is always 0
-    and stop_reason names the path pencil_rank_drop took.
+    means rank drops at irrational or complex t. minors_sampled is always 0.
+    stop_reason is "W = 0" or "exact dim W = k" for the dimension k of the
+    unobservable subspace that carries the rank drops, "generic rank below
+    column count" for a parametric pencil, or "empty pencil".
     """
 
     generic_rank: int
@@ -354,10 +356,6 @@ def rational_roots(p: UniPoly) -> list[Fraction]:
 # Pencil rank-drop machinery
 # ---------------------------------------------------------------------------
 
-# The one prime of the modular screen of the unobservable subspace.
-SCREEN_PRIME = 2**61 - 1
-
-
 def _int_rref(mat: list[list[int]], ncols: int) -> tuple[list, list[int], list[int], int]:
     """Fraction-free Gauss-Jordan elimination (Bareiss), exact because every
     entry stays a minor of mat. Returns (rows, pivots, labels, det): the
@@ -415,10 +413,9 @@ def _sparse(vectors) -> list[list[tuple[int, int]]]:
     return [[(i, x) for i, x in enumerate(v) if x] for v in vectors]
 
 
-def _row_times(row: list[int], cols, prime: int | None = None) -> list[int]:
-    """row times the matrix of the given _sparse columns, mod prime unless None."""
-    out = [sum([row[i] * x for i, x in col]) for col in cols]
-    return [x % prime for x in out] if prime else out
+def _row_times(row: list[int], cols) -> list[int]:
+    """row times the matrix of the given _sparse columns."""
+    return [sum([row[i] * x for i, x in col]) for col in cols]
 
 
 def _charpoly(k: list[list[int]]) -> list[int]:
@@ -435,46 +432,40 @@ def _charpoly(k: list[list[int]]) -> list[int]:
     return coeffs[::-1]
 
 
-def _krylov_rows(m: list[list[int]], c: list[list[int]], prime: int | None) -> tuple[list, list]:
-    """A greedy basis of the row space of [C; C*M; C*M^2; ...] mod prime (over
-    Q for None), multiplying by M only the rows each power adds. Returns the
-    kept rows as the unreduced products C_i*M^k, and the parent of each:
-    ("C", i), or ("M", j) for kept row j times M."""
+def _krylov_rows(m: list[list[int]], c: list[list[int]]) -> list[list[int]]:
+    """A row echelon basis, up to pivot order, of the row space of [C; C*M;
+    C*M^2; ...] over Q. Each round multiplies by M the reduced rows the last
+    one kept: their span contains C and, once a round keeps nothing, is
+    M-invariant, so it is the whole Krylov space."""
     mt = _sparse(zip(*m))
     basis: list[tuple[int, list[int]]] = []  # (pivot column, reduced row)
-    kept: list[list[int]] = []
-    parents: list[tuple[str, int]] = []
-    frontier = [(row, ("C", i)) for i, row in enumerate(c)]
+    frontier = c
     while frontier and len(basis) < len(m):
         fresh = []
-        for raw, parent in frontier:
-            red = raw
+        for red in frontier:
             for j, b in basis:
                 f = red[j]
-                if f and prime:
-                    red = [(x - f * y) % prime for x, y in zip(red, b)]
-                elif f:
+                if f:
                     red = [b[j] * x - f * y for x, y in zip(red, b)]
                     g = math.gcd(*red) or 1  # 0 once red depends on the basis
                     red = [x // g for x in red]
             piv = next((j for j, x in enumerate(red) if x), None)
-            if piv is None:
-                continue
-            if prime:
-                inv = pow(red[piv], -1, prime)
-                red = [x * inv % prime for x in red]
-            basis.append((piv, red))
-            kept.append(raw)
-            parents.append(parent)
-            fresh.append(len(kept) - 1)
-        frontier = [(_row_times(kept[j], mt, prime), ("M", j)) for j in fresh]
-    return kept, parents
+            if piv is not None:
+                basis.append((piv, red))
+                fresh.append(red)
+        frontier = [_row_times(row, mt) for row in fresh]
+    return [row for _, row in basis]
 
 
-def _invariant_kernel(m: list[list[int]], c: list[list[int]], rows: list[list[int]]):
-    """(basis, d, k) for V = ker(rows) when C*V = 0 and M*V lies in V, else
-    None. Each basis vector is d times a unit vector on the free columns of
-    rows, and k is the integer matrix with M*basis = basis*k/d."""
+def _unobservable(m: list[list[int]], c: list[list[int]]):
+    """The unobservable subspace W of (C, M), the largest M-invariant
+    subspace of ker C and the kernel of the Krylov rows, as (basis, d, k,
+    stop reason): each basis vector d times a unit vector on the rows' free
+    columns, and k the integer matrix with M*basis = basis*k/d. The exact
+    checks C*W = 0 and M*W in W guard the kernel."""
+    rows = _krylov_rows(m, c)
+    if len(rows) == len(m):
+        return [], 1, [], "W = 0"
     basis, d, free, _ = _int_kernel(rows, len(m))
     rows_m = _sparse(m)
     mv = [_row_times(v, rows_m) for v in basis]  # M*v, one per basis vector
@@ -482,35 +473,8 @@ def _invariant_kernel(m: list[list[int]], c: list[list[int]], rows: list[list[in
     if not in_ker_c or [_row_times([w[f] for f in free], _sparse(zip(*basis))) for w in mv] != [
         [d * x for x in w] for w in mv
     ]:
-        return None
-    return basis, d, [[w[f] for w in mv] for f in free]
-
-
-def _unobservable(m: list[list[int]], c: list[list[int]]):
-    """The unobservable subspace W of (C, M), the largest M-invariant
-    subspace of ker C, as _invariant_kernel's (basis, d, k) and the path.
-
-    A rank can only fall modulo a prime, so full rank of the Krylov rows
-    C*M^k modulo SCREEN_PRIME proves W = 0. Otherwise the exact rows that
-    were independent mod p have a kernel V containing W, and C*V = 0 with
-    M*V in V proves V = W; failing that, an exact iteration finds W.
-    """
-    n = len(m)
-    p = SCREEN_PRIME
-    screen = [[x % p for x in r] for r in m]
-    kept, parents = _krylov_rows(screen, [[x % p for x in r] for r in c], p)
-    if len(kept) == n:
-        return [], 1, [], "W = 0 mod p"
-    mt = _sparse(zip(*m))
-    rows: list[list[int]] = []
-    for kind, i in parents:
-        rows.append(c[i] if kind == "C" else _row_times(rows[i], mt))
-    found = _invariant_kernel(m, c, rows)
-    how = "exact dim W = {}"
-    if found is None:
-        rows, how = _krylov_rows(m, c, None)[0], "exact dim W = {} after exact iteration"
-        found = _invariant_kernel(m, c, rows)
-    return (*found, how.format(len(found[0])))
+        raise RuntimeError("internal error: the Krylov kernel is not the unobservable subspace")
+    return basis, d, [[w[f] for w in mv] for f in free], f"exact dim W = {len(basis)}"
 
 
 def _split(a: list[list[int]], b: list[list[int]]):
@@ -570,12 +534,10 @@ def pencil_rank_drop(p: PencilMatrix, rng: random.Random | None = None) -> Penci
     is the characteristic polynomial of a1 on W, in t; its rational roots
     are the candidates and its rational-root-free part the residual.
 
-    Certificate (_unobservable): full rank of the Krylov rows a2*a1^k
-    modulo SCREEN_PRIME proves W = 0. Otherwise one exact kernel V of the
-    rows independent mod p contains W, and the exact checks a2*V = 0 and
-    a1*V in V prove V = W, with an exact iteration as the fallback. The
-    kernel at a candidate is V times the eigenvectors of a1 on W, in
-    null_space's canonical basis.
+    W is the kernel of the Krylov rows a2*a1^k (_unobservable): their full
+    rank proves W = 0 (stop_reason "W = 0"), and otherwise stop_reason is
+    "exact dim W = k". The kernel at a candidate is W's basis times the
+    eigenvectors of a1 on W, in null_space's canonical basis.
 
     For a singular b the generic rank is the largest rank at t = 0..cols,
     exact since an r x r minor vanishes at r of them at most; below cols the

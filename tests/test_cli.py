@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import os
@@ -325,6 +326,83 @@ class TestCombineCommand:
         (tmp_path / "bad.json").write_text(text)
         assert main(["combine", "--from", str(tmp_path / "bad.json")]) == 2
         assert capsys.readouterr().err.startswith("error: --from: ")
+
+    def test_deeply_nested_report(self, tmp_path, capsys):
+        # deeper than the JSON parser's recursion limit
+        (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["combine", "--from", str(tmp_path / "deep.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: --from: cannot load report: ")
+
+
+@functools.lru_cache(maxsize=None)
+def _analyze_report(model: tuple) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["analyze", *model, "--degree", "2"]) == 0
+    return out.getvalue()
+
+
+# JSON values that replace a part of a report: wrong types, large integers
+# (below the 4300-digit limit of int-to-str conversion) and nested arrays
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=8),
+    st.text(alphabet="0123456789xyz+-*/^(). ", max_size=8),
+    st.sampled_from(["x", "z", "y - 1", "x - z", "x^2", "1"]),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.integers(min_value=0, max_value=4000).map(lambda n: -(10**n)),
+    st.integers(min_value=1, max_value=50).map(
+        lambda n: functools.reduce(lambda acc, _: [acc], range(n), [])
+    ),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+)
+
+
+def _slots(node):
+    """Every (container, key) pair of a JSON tree."""
+    for key in list(node) if isinstance(node, dict) else range(len(node)):
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from _slots(node[key])
+
+
+@st.composite
+def damaged_report(draw):
+    """A valid analyze report in which one to four parts, each drawn from all
+    of its keys and array items, are dropped or replaced by _JUNK."""
+    report = json.loads(_analyze_report(draw(st.sampled_from([tuple(HSA_1001), tuple(HSA_1111)]))))
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        slots = list(_slots(report))
+        if not slots:
+            break
+        node, key = draw(st.sampled_from(slots))
+        if draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(_JUNK)
+    return report
+
+
+report_text = st.one_of(
+    damaged_report().map(json.dumps),
+    st.builds(lambda text, cut: text[:cut], damaged_report().map(json.dumps), st.integers(0, 2000)),
+    _JUNK.map(json.dumps) | st.integers(1, 100_000).map(lambda n: "[" * n + "]" * n),
+)
+
+
+@given(report_text)
+@settings(max_examples=150, deadline=2000)
+def test_combine_report_fuzz_ends_in_documented_exit_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        report = os.path.join(tmp, "r.json")
+        with open(report, "w") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["combine", "--from", report])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 class TestNumericCommands:

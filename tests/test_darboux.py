@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from darboux3.darboux import (
     CofactorTemplate,
+    _coefficient_spaces,
+    _lie_matrix,
     DarbouxCert,
     analyze,
     combination_log_terms,
@@ -20,7 +22,7 @@ from darboux3.darboux import (
     verify_exp_factor_rational,
 )
 from darboux3.exactmath import QMatrix, rref
-from darboux3.fieldspec import FieldDef, HsaParams, build_hsa, parse_expression
+from darboux3.fieldspec import FieldDef, HsaParams, build_hsa, lie_derivative, parse_expression
 from darboux3.polyring import Cofactor, Poly, monomials_up_to
 
 X = Poly.variable("x")
@@ -456,3 +458,36 @@ def test_searches_invariant_under_field_scaling(case):
     c_certs, _ = search_darboux_pencil(cf, template(c), 2)
     assert [(e.body, e.primitive) for e in c_certs] == [(e.body, e.primitive) for e in certs]
     assert [e.cofactor for e in c_certs] == [e.cofactor.scale(c) for e in certs]
+
+
+# ---------------------------------------------------------------------------
+# Lie-matrix assembly from the field's terms against lie_derivative
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def lie_matrix_case(draw):
+    """A rational field of degree <= 3, a degree bound 1..3 and pinned values
+    whose denominators enter the scale D."""
+    q = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    degree = draw(st.integers(min_value=0, max_value=3))
+    components = [
+        Poly({m: draw(q) for m in monomials_up_to(draw(st.integers(0, degree)))}) for _ in "xyz"
+    ]
+    values = draw(st.lists(q, max_size=3))
+    return FieldDef(*components), draw(st.integers(min_value=1, max_value=3)), values
+
+
+@given(lie_matrix_case())
+@settings(max_examples=60, deadline=None)
+def test_lie_matrix_columns_are_scaled_lie_derivatives(case):
+    f, bound, values = case
+    domain, index = _coefficient_spaces(f, bound, 0)
+    mat, scale = _lie_matrix(f, domain, index, values)
+    coeffs = [c for p in f.components() for c in p.terms.values()]
+    assert scale == math.lcm(*(c.denominator for c in coeffs + values))
+    for j, m in enumerate(domain):
+        want = [0] * len(index)
+        for mono, c in lie_derivative(f, Poly.term(m, 1)).terms.items():
+            want[index[mono]] = c * scale
+        assert mat[j :: len(domain)] == want
