@@ -364,16 +364,25 @@ def cmd_analyze(args) -> int:
 def _template_from_json(text: str) -> CofactorTemplate:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"--template-json: {exc}")
-    try:
-        fixed = tuple((k, Fraction(v)) for k, v in raw.get("fixed", {}).items())
-        enumerated = tuple(
-            (k, tuple(Fraction(x) for x in vals)) for k, vals in raw.get("enumerate", {}).items()
+        fixed, sweep = (
+            [raw.get(k, {}) for k in ("fixed", "enumerate")] if isinstance(raw, dict) else [0, 0]
         )
-        return CofactorTemplate(fixed=fixed, eigen=raw.get("eigen"), enumerated=enumerated)
-    except (ValueError, TypeError) as exc:
+        if not (isinstance(fixed, dict) and isinstance(sweep, dict)):
+            raise ValueError('expected an object whose "fixed" and "enumerate" are objects')
+        if not all(isinstance(vals, list) for vals in sweep.values()):
+            raise ValueError('"enumerate" must map each slot to an array')
+        fixed = tuple((k, _json_rational(v)) for k, v in fixed.items())
+        sweep = tuple((k, tuple(map(_json_rational, vals))) for k, vals in sweep.items())
+        return CofactorTemplate(fixed=fixed, eigen=raw.get("eigen"), enumerated=sweep)
+    except (ValueError, TypeError, RecursionError) as exc:  # deep nesting: RecursionError
         raise CliError(f"--template-json: {exc}")
+
+
+def _json_rational(v) -> Fraction:
+    """A template value: a JSON integer, or a string holding an integer or p/q."""
+    if type(v) is int or isinstance(v, str):  # bool is not an int here
+        return Fraction(v) if type(v) is int else parse_rational_literal(v)
+    raise ValueError(f"expected an integer or a p/q string, got {json.dumps(v):.40}")
 
 
 def cmd_search_darboux(args) -> int:

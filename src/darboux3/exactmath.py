@@ -193,10 +193,9 @@ class UniPoly:
 
 
 class PencilMatrix:
-    """Linear pencil A + t*B: A and B are row-major lists of ints or
-    Fractions, the constant and t coefficients of each entry.
-    pencil_rank_drop clears their denominators once, so integer pencils
-    cost no conversion."""
+    """Linear pencil A + t*B: A and B are row-major lists of ints or Fractions,
+    the constant and t coefficients of each entry. pencil_rank_drop clears the
+    denominators of a pencil with Fractions once, and takes all-int ones as is."""
 
     __slots__ = ("rows", "cols", "a", "b")
 
@@ -252,7 +251,7 @@ class PencilRankDrop:
 # ---------------------------------------------------------------------------
 # Integer polynomial helpers (coefficient lists, little-endian). The exact
 # core works over Z: rref, null_space and pencil_rank_drop clear denominators
-# once, eliminate with _int_rref and divide only in the results they return.
+# once, reduce with _int_rref or _reduce_rows and divide only in what they return.
 # ---------------------------------------------------------------------------
 
 
@@ -389,16 +388,41 @@ def _int_rref(mat: list[list[int]], ncols: int) -> tuple[list, list[int], list[i
     return work[:r], pivots, labels[:r], sign * prev if r == len(work) == ncols else 0
 
 
-def _int_kernel(mat: list[list[int]], ncols: int) -> tuple[list, int, list[int], list[int]]:
-    """ker(mat) over Z, read off _int_rref: (basis, d, free, pivots) with one
-    basis vector per free column, d there and 0 at the other free columns,
-    where d is the common pivot value."""
-    red, pivots, _, _ = _int_rref(mat, ncols)
-    d = red[0][pivots[0]] if pivots else 1
-    row_of = dict(zip(pivots, red))
-    free = [j for j in range(ncols) if j not in row_of]
-    basis = [[-row_of[j][f] if j in row_of else d * (j == f) for j in range(ncols)] for f in free]
-    return basis, d, free, pivots
+def _reduce_rows(basis: list[tuple[int, list[int]]], rows) -> list[tuple[int, list[int]]]:
+    """basis plus each nonzero row reduced against the (pivot column, row) pairs
+    before it, its content removed after each step. By pivot they are in echelon
+    form, each the primitive form of a vector of minors, so Hadamard-bounded."""
+    for red in rows:
+        for j, b in basis:
+            f = red[j]
+            if f:
+                red = [b[j] * x - f * y for x, y in zip(red, b)]
+                g = math.gcd(*red) or 1  # 0 once red depends on the basis
+                red = [x // g for x in red]
+        if any(red):
+            basis.append((next(j for j, x in enumerate(red) if x), red))
+    return basis
+
+
+def _int_kernel(mat: list[list[int]], ncols: int, kept=None) -> tuple[list, int, list, list]:
+    """ker(mat) over Z as (basis, d, free, pivots), one basis vector per free
+    column, d there and 0 at the other free columns: mat's rows join kept,
+    _reduce_rows's pairs, and are back-substituted in descending pivot order."""
+    basis = sorted(_reduce_rows(kept or [], mat), reverse=True)  # pivots are distinct
+    pivots = sorted(j for j, _ in basis)
+    free = sorted(set(range(ncols)) - set(pivots))
+    vectors = []
+    for f in free:
+        v = [int(j == f) for j in range(ncols)]
+        for p, row in basis:  # in descending pivot order
+            s = sum(map(operator.mul, row, v)) if p < f else 0
+            if s:  # v times row[p]/g solves row*v = 0 at p
+                g = math.gcd(row[p], s)
+                v = [x * (row[p] // g) for x in v]
+                v[p] = -s // g
+        vectors.append(v)
+    d = math.lcm(*(v[f] for v, f in zip(vectors, free)))
+    return [[x * (d // v[f]) for x in v] for v, f in zip(vectors, free)], d, free, pivots
 
 
 def _cleared(rows, den: int | None = None) -> list[list[int]]:
@@ -432,41 +456,28 @@ def _charpoly(k: list[list[int]]) -> list[int]:
     return coeffs[::-1]
 
 
-def _krylov_rows(m: list[list[int]], c: list[list[int]]) -> list[list[int]]:
-    """A row echelon basis, up to pivot order, of the row space of [C; C*M;
-    C*M^2; ...] over Q. Each round multiplies by M the reduced rows the last
-    one kept: their span contains C and, once a round keeps nothing, is
-    M-invariant, so it is the whole Krylov space."""
+def _krylov_rows(m: list[list[int]], c: list[list[int]]) -> list[tuple[int, list[int]]]:
+    """The row space of [C; C*M; ...] as _reduce_rows's pairs. Each round
+    multiplies by M the rows the last one kept: their span contains C and, once
+    a round keeps nothing, is M-invariant, so it is the whole Krylov space."""
     mt = _sparse(zip(*m))
-    basis: list[tuple[int, list[int]]] = []  # (pivot column, reduced row)
-    frontier = c
+    basis, frontier = [], c
     while frontier and len(basis) < len(m):
-        fresh = []
-        for red in frontier:
-            for j, b in basis:
-                f = red[j]
-                if f:
-                    red = [b[j] * x - f * y for x, y in zip(red, b)]
-                    g = math.gcd(*red) or 1  # 0 once red depends on the basis
-                    red = [x // g for x in red]
-            piv = next((j for j, x in enumerate(red) if x), None)
-            if piv is not None:
-                basis.append((piv, red))
-                fresh.append(red)
-        frontier = [_row_times(row, mt) for row in fresh]
-    return [row for _, row in basis]
+        kept = len(basis)
+        frontier = [_row_times(row, mt) for _, row in _reduce_rows(basis, frontier)[kept:]]
+    return basis
 
 
 def _unobservable(m: list[list[int]], c: list[list[int]]):
-    """The unobservable subspace W of (C, M), the largest M-invariant
-    subspace of ker C and the kernel of the Krylov rows, as (basis, d, k,
+    """The unobservable subspace W of (C, M), the largest M-invariant subspace
+    of ker C, back-substituted from the reduced Krylov rows, as (basis, d, k,
     stop reason): each basis vector d times a unit vector on the rows' free
     columns, and k the integer matrix with M*basis = basis*k/d. The exact
     checks C*W = 0 and M*W in W guard the kernel."""
     rows = _krylov_rows(m, c)
     if len(rows) == len(m):
         return [], 1, [], "W = 0"
-    basis, d, free, _ = _int_kernel(rows, len(m))
+    basis, d, free, _ = _int_kernel([], len(m), rows)
     rows_m = _sparse(m)
     mv = [_row_times(v, rows_m) for v in basis]  # M*v, one per basis vector
     in_ker_c = not any(sum(map(operator.mul, row, v)) for row in c for v in basis)
@@ -548,10 +559,10 @@ def pencil_rank_drop(p: PencilMatrix, rng: random.Random | None = None) -> Penci
         raise MalformedPencilError(f"pencil is {p.rows}x{p.cols}; need rows >= cols")
     if p.cols == 0:
         return PencilRankDrop(0, (), UniPoly.constant(1), False, 0, "empty pencil")
-    den = math.lcm(*{x.denominator for x in p.a + p.b})
-    starts = range(0, p.rows * p.cols, p.cols)
-    a = _cleared((p.a[lo : lo + p.cols] for lo in starts), den)
-    b = _cleared((p.b[lo : lo + p.cols] for lo in starts), den)
+    a, b = ([v[lo : lo + p.cols] for lo in range(0, p.rows * p.cols, p.cols)] for v in (p.a, p.b))
+    if not {int}.issuperset(map(type, p.a + p.b)):  # an integer pencil needs no clearing
+        den = math.lcm(*{x.denominator for x in p.a + p.b})
+        a, b = _cleared(a, den), _cleared(b, den)
     split = _split(a, b)
     deflated = split is None
     if deflated:

@@ -148,6 +148,26 @@ class TestModelValidation:
         assert code == 2
         assert "nesting deeper than 100" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "template",
+        [
+            "[]",
+            '{"fixed": [["b1", 0]], "eigen": "b0", "enumerate": {"b2": [1]}}',
+            '{"fixed": {"b1": 1e400, "b3": 0}, "eigen": "b0", "enumerate": {"b2": [1]}}',
+            '{"fixed": {"b1": "1/0", "b3": 0}, "eigen": "b0", "enumerate": {"b2": [1]}}',
+            '{"fixed": {"b1": 0.1, "b3": 0}, "eigen": "b0", "enumerate": {"b2": [1]}}',
+            '{"fixed": {"b1": true, "b3": 0}, "eigen": "b0", "enumerate": {"b2": [1]}}',
+            '{"fixed": {"b1": 0, "b3": 0}, "eigen": "b0", "enumerate": {"b2": "12"}}',
+        ],
+        ids=["not-an-object", "fixed-list", "overflowing-float", "zero-denominator", "float",
+             "boolean", "enumerate-string"],
+    )
+    def test_template_json_value_rejected(self, capsys, template):
+        # template values are JSON integers or integer and p/q literal strings
+        args = ["search-darboux"] + HSA_1001 + ["--degree", "2", "--template-json", template]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: --template-json: ")
+
     def test_field_file_with_params(self, tmp_path):
         field = tmp_path / "f.txt"
         field.write_text(
@@ -401,6 +421,44 @@ def test_combine_report_fuzz_ends_in_documented_exit_code(text):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["combine", "--from", report])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+# --template-json text: a valid template with one to three parts dropped or
+# replaced by _JUNK, cut short, or junk
+_TEMPLATE = {"fixed": {"b1": "0", "b3": 0}, "eigen": "b0", "enumerate": {"b2": [-1, "0", "1/2"]}}
+
+
+@st.composite
+def damaged_template(draw):
+    template = json.loads(json.dumps(_TEMPLATE))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        slots = list(_slots(template))
+        if not slots:
+            break
+        node, key = draw(st.sampled_from(slots))
+        if draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(_JUNK)
+    return template
+
+
+@given(
+    st.one_of(
+        damaged_template().map(json.dumps),
+        st.builds(
+            lambda text, cut: text[:cut], damaged_template().map(json.dumps), st.integers(0, 120)
+        ),
+        _JUNK.map(json.dumps),
+    )
+)
+@settings(max_examples=150, deadline=2000)
+def test_template_json_fuzz_ends_in_documented_exit_code(text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["search-darboux"] + HSA_1001 + ["--degree", "2", "--template-json", text])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
 

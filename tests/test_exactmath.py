@@ -1,4 +1,6 @@
 import itertools
+import math
+import operator
 import random
 from fractions import Fraction as F
 
@@ -512,6 +514,121 @@ def test_int_elimination_rank_matches_rref(rows, cols, data):
     _, _, rank_frac = rref(QMatrix.from_rows(mat))
     assert len(pivot_rows) == rank_frac
     assert len(set(pivot_rows)) == len(pivot_rows)
+
+
+@st.composite
+def integer_matrix(draw):
+    """Tall, wide and square integer matrices up to 6 x 6 whose rows may be
+    zero, copies or combinations of earlier rows, or lead with a negative
+    entry."""
+    rows = draw(st.integers(min_value=1, max_value=6))
+    cols = draw(st.integers(min_value=1, max_value=6))
+    entry = st.integers(min_value=-9, max_value=9)
+    mat = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(["fresh", "zero", "copy", "combination", "negative leading"]))
+        if kind == "zero":
+            mat.append([0] * cols)
+        elif kind == "copy" and mat:
+            mat.append(list(draw(st.sampled_from(mat))))
+        elif kind == "combination" and mat:
+            a, b = draw(entry), draw(entry)
+            r1, r2 = draw(st.sampled_from(mat)), draw(st.sampled_from(mat))
+            mat.append([a * x + b * y for x, y in zip(r1, r2)])
+        else:
+            row = [draw(entry) for _ in range(cols)]
+            lead = draw(st.integers(min_value=0, max_value=cols - 1))
+            if kind == "negative leading":
+                row[:lead] = [0] * lead
+                row[lead] = -draw(st.integers(min_value=1, max_value=9))
+            mat.append(row)
+    return mat
+
+
+@given(integer_matrix())
+@settings(max_examples=300, deadline=None)
+def test_int_kernel_against_rref(mat):
+    """The back-substituted kernel: mat*v = 0, v is d at its own free column
+    and 0 at the others, the free columns are rref's non-pivots and there
+    are ncols - rank vectors, with rref (Bareiss) as the reference."""
+    cols = len(mat[0])
+    basis, d, free, pivots = exactmath._int_kernel(mat, cols)
+    _, ref_pivots, rank = rref(QMatrix.from_rows(mat))
+    assert pivots == list(ref_pivots)
+    assert free == [j for j in range(cols) if j not in ref_pivots]
+    assert len(basis) == cols - rank
+    for v, f in zip(basis, free):
+        assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in mat)
+        assert [v[g] for g in free] == [d * (g == f) for g in free]
+
+
+def _krylov_matrix(m, c):
+    """[C; C*M; ...; C*M^(n-1)] as raw products, not reduced."""
+    out, block = [], [[F(x) for x in row] for row in c]
+    for _ in range(len(m)):
+        out += block
+        block = [[sum(x * y for x, y in zip(r, col)) for col in zip(*m)] for r in block]
+    return out
+
+
+@given(
+    reference_pencil(),
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=5, max_size=5),
+    st.integers(min_value=-2, max_value=2),
+)
+@settings(max_examples=200, deadline=None)
+def test_unobservable_spans_kernel_of_krylov_rows(p, v, lam):
+    """W, back-substituted from the rows _krylov_rows reduced, spans the
+    null_space of the raw Krylov rows C*M^k. M is the split pencil's a1,
+    changed to have the drawn v as an eigenvector, and C is its a2 projected
+    orthogonally to v plus one more row orthogonal to v: W then contains v,
+    and the Krylov rows are not all zero."""
+    den = math.lcm(*(x.denominator for x in p.a + p.b))
+    a, b = (
+        [[int(x * den) for x in w[lo : lo + p.cols]] for lo in range(0, len(w), p.cols)]
+        for w in (p.a, p.b)
+    )
+    split = exactmath._split(a, b)
+    if split is None or p.cols < 2:  # deflated or 1-D: covered by the minor-gcd property
+        return
+    a1, _, a2 = split
+    n = len(a1)
+    v = v[: n - 1] + [v[n - 1] or 1]
+    a1v = [sum(x * y for x, y in zip(row, v)) for row in a1]
+    m = [  # v[-1]*a1 with its last column changed so that m*v = lam*v[-1]*v
+        [v[-1] * x + (lam * v[i] - a1v[i]) * (j == n - 1) for j, x in enumerate(row)]
+        for i, row in enumerate(a1)
+    ]
+    vv = sum(x * x for x in v)
+    c = [[vv * x - sum(map(operator.mul, r, v)) * y for x, y in zip(r, v)] for r in a2]
+    c.append([v[-1]] + [0] * (n - 2) + [-v[0]])
+    basis, _, _, _ = exactmath._unobservable(m, c)
+    krylov = _krylov_matrix(m, c)
+    kernel = null_space(QMatrix.from_rows(krylov))
+    assert len(basis) == len(kernel) >= 1
+    stacked = [[F(x) for x in w] for w in basis + [v]] + [w.entries for w in kernel]
+    assert rref(QMatrix.from_rows(stacked))[2] == len(kernel)
+    for w in basis:
+        assert all(sum(x * y for x, y in zip(row, w)) == 0 for row in krylov)
+
+
+@given(reference_pencil(), st.fractions(min_value=-5, max_value=5, max_denominator=7))
+@settings(max_examples=150, deadline=None)
+def test_int_fraction_and_scaled_pencils_agree(p, scale):
+    """The same pencil as ints (no denominator pass), as Fractions and scaled
+    by a rational gives the same PencilRankDrop, every field included."""
+    den = math.lcm(*(x.denominator for x in p.a + p.b))
+    ints = [[int(x * den) for x in v] for v in (p.a, p.b)]
+    assert all(type(x) is int for v in ints for x in v)
+    scale = scale or F(1, 3)
+    variants = [
+        PencilMatrix.from_parts(p.rows, p.cols, *ints),
+        PencilMatrix.from_parts(p.rows, p.cols, *([F(x) for x in v] for v in ints)),
+        PencilMatrix.from_parts(p.rows, p.cols, *([scale * x for x in v] for v in (p.a, p.b))),
+    ]
+    expected = pencil_rank_drop(p)
+    for q in variants:
+        assert pencil_rank_drop(q) == expected
 
 
 @st.composite
