@@ -373,7 +373,9 @@ def _template_from_json(text: str) -> CofactorTemplate:
             raise ValueError('"enumerate" must map each slot to an array')
         fixed = tuple((k, _json_rational(v)) for k, v in fixed.items())
         sweep = tuple((k, tuple(map(_json_rational, vals))) for k, vals in sweep.items())
-        return CofactorTemplate(fixed=fixed, eigen=raw.get("eigen"), enumerated=sweep)
+        if not isinstance(raw.get("eigen"), str):
+            raise ValueError('"eigen" must be a string naming the solved slot, one of b0..b3')
+        return CofactorTemplate(fixed=fixed, eigen=raw["eigen"], enumerated=sweep)
     except (ValueError, TypeError, RecursionError) as exc:  # deep nesting: RecursionError
         raise CliError(f"--template-json: {exc}")
 

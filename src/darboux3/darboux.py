@@ -79,8 +79,16 @@ class CofactorTemplate:
 
     @classmethod
     def default(cls, degree_bound: int) -> "CofactorTemplate":
-        """b1 = b3 = 0, b2 swept over the integers -n..n, b0 eigen-solved."""
-        sweep = tuple(Fraction(v) for v in range(-degree_bound, degree_bound + 1))
+        """b1 = b3 = 0, b2 swept over the integers 0..n, b0 eigen-solved.
+
+        The top-degree relation of the dynamo fixes b2 and b3: its quadratic
+        part is x*D with D = y*d/dx - alpha*x*d/dy, and if h's top form is
+        x^k*g with x not dividing g, then x*D(x^k*g) = x^k*(k*y*g + x*D(g))
+        must equal (b1*x + b2*y + b3*z)*x^k*g. At x = 0 this gives b2 = k
+        and b3 = 0, over C and for every alpha. What remains is D(g) = b1*g,
+        which forces b1 = 0 when alpha = 0 (D is then nilpotent); for
+        alpha != 0, b1 = 0 is taken from the paper."""
+        sweep = tuple(Fraction(v) for v in range(degree_bound + 1))
         return cls(
             fixed=(("b1", Fraction(0)), ("b3", Fraction(0))),
             eigen="b0",
@@ -269,6 +277,8 @@ def search_darboux_pencil(
     values of t and their kernels are found by pencil_rank_drop and each
     kernel vector is re-verified. B is injective, so no cell is parametric;
     a cell whose eigen values include irrational or complex ones gets a note.
+    For the dynamo, a cell with b2 < 0 or b3 != 0 has no rank drop at any
+    complex t (CofactorTemplate.default), so the default sweeps b2 over 0..n.
     """
     domain, index = _coefficient_spaces(f, degree_bound, 0)
     if template.eigen is None:
@@ -464,8 +474,7 @@ def analyze(
 
     if template is None:
         template = CofactorTemplate.default(degree_bound)
-        hsa = hsa_params_of(f)
-        if hsa is None or not hsa.alpha_nonzero():
+        if hsa_params_of(f) is None:  # the dynamo's top-degree relation fixes b2, b3
             notes.append(
                 "default cofactor template (b1 = b3 = 0, b2 swept, b0 eigen) is only "
                 "justified for the built-in dynamo form with alpha != 0; for this model "

@@ -97,7 +97,7 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
     """Gauss-Jordan reduction; returns (reduced matrix, pivot columns, rank).
     Each row is cleared of denominators, which leaves the rref unchanged, and
     reduced over Z by _int_rref; the rref is divided out once at the end."""
-    red, pivots, _, _ = _int_rref(_cleared(m.row(i) for i in range(m.rows)), m.cols)
+    red, pivots, _, _ = _int_rref(_int_rows(m), m.cols)
     d = red[0][pivots[0]] if pivots else 1
     entries = [Fraction(x, d) for row in red for x in row]
     entries += [Fraction(0)] * ((m.rows - len(red)) * m.cols)
@@ -107,7 +107,13 @@ def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
 def null_space(m: QMatrix) -> list[QMatrix]:
     """Basis of the right kernel {v : m.v = 0}, each vector scaled so its
     first nonzero entry is 1. Empty list for a trivial kernel."""
-    return [_lead_one(v) for v in _int_kernel(_cleared(m.row(i) for i in range(m.rows)), m.cols)[0]]
+    return [_lead_one(v) for v in _int_kernel(_int_rows(m), m.cols)[0]]
+
+
+def _int_rows(m: QMatrix) -> list[list[int]]:
+    """m's rows as integer rows; an all-int matrix needs no clearing."""
+    rows = [m.row(i) for i in range(m.rows)]
+    return rows if {int}.issuperset(map(type, m.entries)) else _cleared(rows)
 
 
 def _lead_one(v: list[int]) -> QMatrix:

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .polyring import Poly
+from .polyring import MONOMIAL_ONE, Monomial, Poly
 
 __all__ = [
     "HsaParams",
@@ -73,9 +73,6 @@ class HsaParams:
         for slot in ("alpha", "beta", "kappa", "lam"):
             object.__setattr__(self, slot, Fraction(getattr(self, slot)))
 
-    def alpha_nonzero(self) -> bool:
-        return self.alpha != 0
-
     def alpha_matches_kappa(self) -> bool:
         """alpha == -kappa*(kappa - 1), the resonance regime."""
         return self.alpha == -self.kappa * (self.kappa - 1)
@@ -118,11 +115,11 @@ class FieldDef:
 
 def build_hsa(p: HsaParams) -> FieldDef:
     """The dynamo field: dx = x(y-1) - beta*z, dy = alpha(1-x^2) - kappa*y,
-    dz = x - lambda*z."""
-    x, y, z = Poly.variable("x"), Poly.variable("y"), Poly.variable("z")
-    fx = x * (y - Poly.constant(1)) - z.scale(p.beta)
-    fy = (Poly.constant(1) - x * x).scale(p.alpha) - y.scale(p.kappa)
-    fz = x - z.scale(p.lam)
+    dz = x - lambda*z, written as terms in the order Poly arithmetic leaves."""
+    x, y, z = Monomial(1, 0, 0), Monomial(0, 1, 0), Monomial(0, 0, 1)
+    fx = Poly({Monomial(1, 1, 0): 1, x: -1, z: -p.beta})
+    fy = Poly({MONOMIAL_ONE: p.alpha, Monomial(2, 0, 0): -p.alpha, y: -p.kappa})
+    fz = Poly({x: 1, z: -p.lam})
     label = f"hsa(alpha={p.alpha}, beta={p.beta}, kappa={p.kappa}, lambda={p.lam})"
     return FieldDef(fx, fy, fz, dict(p.as_dict()), label)
 

@@ -16,13 +16,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .fieldspec import FieldDef, HsaParams, hsa_params_of
 from .polyring import Poly
 
-# scipy.integrate is imported inside the functions that use it, so importing
-# the package (and every symbolic CLI command) does not pay for it
+# numpy and scipy.integrate are imported inside the functions that use them, so
+# importing the package (and every symbolic CLI command) does not pay for them
 
 
 class DomainError(ValueError):
@@ -401,6 +399,7 @@ def _f2_series(traj: Trajectory, variant: str, c: float):
     of w is pinned to the sign of y - 1 at the start; the window ends where
     that sign flips, the w-bracket leaves (0, inf), or x crosses 0.
     """
+    import numpy as np
     from scipy.integrate import cumulative_simpson
 
     if variant not in ("paper", "corrected"):
@@ -544,7 +543,7 @@ def drift(traj: Trajectory, spec: IntegralSpec) -> DriftReport:
         variant = "paper" if spec.which == "F2_paper" else "corrected"
         values, n_valid, violation = _f2_series(traj, variant, c)
         initial = float(values[0])
-        max_abs = float(np.max(np.abs(values - initial)))
+        max_abs = float(abs(values - initial).max())
         window = (traj.times[0], traj.times[n_valid - 1])
         return DriftReport(
             spec, initial, max_abs, max_abs / (1 + abs(initial)), window, violation
@@ -590,6 +589,7 @@ def step_halving_study(
 
 def simpson_integral(values, times) -> float:
     """Composite Simpson integral of sampled values over the given grid."""
+    import numpy as np
     from scipy.integrate import simpson
 
     return float(simpson(np.asarray(values), x=np.asarray(times)))
@@ -597,6 +597,7 @@ def simpson_integral(values, times) -> float:
 
 def cumulative_path_integral(values, times) -> np.ndarray:
     """Cumulative composite-Simpson integral, 0 at the first sample."""
+    import numpy as np
     from scipy.integrate import cumulative_simpson
 
     return cumulative_simpson(np.asarray(values), x=np.asarray(times), initial=0.0)

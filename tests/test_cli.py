@@ -289,6 +289,22 @@ class TestSearchCommands:
         assert code == 0
         assert [c["body"]["text"] for c in report["certificates"]] == ["x"]
 
+    @pytest.mark.parametrize(
+        "template",
+        [
+            '{"fixed": {"b1": 0, "b3": 0}, "eigen": 5, "enumerate": {"b2": [1]}}',
+            '{"fixed": {"b0": 0, "b1": 0, "b3": 0}, "enumerate": {"b2": [1]}}',
+        ],
+        ids=["eigen-not-a-string", "eigen-missing"],
+    )
+    def test_template_json_eigen_must_name_a_slot(self, capsys, template):
+        args = ["search-darboux"] + HSA_1011 + ["--degree", "2", "--template-json", template]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            'error: --template-json: "eigen" must be a string naming the solved slot, '
+            "one of b0..b3\n"
+        )
+
     def test_bad_template_json(self):
         assert (
             main(["search-darboux"] + HSA_1011 + ["--template-json", "{bad json"]) == 2
@@ -622,16 +638,24 @@ class TestCrossProcessStability:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_cli_import_leaves_scipy_unloaded(self):
+    @staticmethod
+    def loaded_by_cli_import(package: str) -> str:
+        """The modules of package that a fresh `import darboux3.cli` loads."""
         code = (
             "import sys, darboux3.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
         )
         env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": child_pythonpath()}
         out = subprocess.run(
             [sys.executable, "-c", code], check=True, env=env, capture_output=True, text=True
         )
-        assert out.stdout.strip() == "[]"
+        return out.stdout.strip()
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        assert self.loaded_by_cli_import("scipy") == "[]"
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        assert self.loaded_by_cli_import("numpy") == "[]"
 
     def test_pencil_report_carries_sampling_note(self, tmp_path):
         code, report = run_json(tmp_path, ["search-darboux"] + HSA_1011 + ["--degree", "2"])

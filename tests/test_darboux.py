@@ -326,6 +326,10 @@ class TestAnalyze:
         v = analyze(f, 2, rng=random.Random(0))
         assert "only justified" in v.notes
 
+    def test_alpha_zero_dynamo_gets_no_disclaimer(self):
+        # at alpha = 0 the top-degree relation forces b1 = b3 = 0 and b2 = k
+        assert "only justified" not in analyze(hsa(0, 1, 1, 1), 2).notes
+
     def test_cubic_field_notes_truncated_cofactor_space(self):
         from darboux3.fieldspec import parse_field
 
@@ -491,3 +495,38 @@ def test_lie_matrix_columns_are_scaled_lie_derivatives(case):
         for mono, c in lie_derivative(f, Poly.term(m, 1)).terms.items():
             want[index[mono]] = c * scale
         assert mat[j :: len(domain)] == want
+
+
+# ---------------------------------------------------------------------------
+# The top-degree lemma behind the default template: the dynamo's quadratic
+# part is x*D, so a Darboux polynomial whose top form is x^k*g (x not
+# dividing g) has b2 = k and b3 = 0, and the cells b2 < 0 are empty
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def rational_hsa_case(draw):
+    """A rational dynamo tuple, alpha = 0 and negative squares and non-squares
+    among the alphas, and a degree bound of 1 to 3."""
+    alpha = draw(st.sampled_from([F(0), F(-1), F(-4), F(-1, 4), F(-2), F(-1, 2), F(1), F(3, 2)]))
+    rest = st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-3, 2), F(2)])
+    return (alpha, draw(rest), draw(rest), draw(rest)), draw(st.integers(1, 3))
+
+
+@given(rational_hsa_case())
+@settings(max_examples=40, deadline=None)
+def test_wide_template_obeys_top_degree_lemma(case):
+    params, bound = case
+    f = hsa(*params)
+    wide = CofactorTemplate(
+        fixed=(("b1", F(0)), ("b3", F(0))),
+        eigen="b0",
+        enumerated=(("b2", tuple(F(v) for v in range(-bound, bound + 1))),),
+    )
+    certs, notes = search_darboux_pencil(f, wide, bound)
+    for c in certs:
+        _, top = c.body.homogeneous_parts()[-1]
+        assert c.cofactor.b2 == min(m.ex for m in top.terms)
+        assert c.cofactor.b3 == 0
+    default = search_darboux_pencil(f, CofactorTemplate.default(bound), bound)
+    assert (certs, notes) == default

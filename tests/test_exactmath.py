@@ -217,6 +217,26 @@ def test_null_space_exactness(m):
         assert m.mul_vec(v).entries == [F(0)] * m.rows
 
 
+int_rows = st.integers(1, 5).flatmap(
+    lambda cols: st.lists(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols), max_size=5)
+).filter(bool)
+
+
+@given(int_rows, st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool))
+@settings(max_examples=150, deadline=None)
+def test_null_space_same_for_ints_fractions_and_rational_multiples(rows, c):
+    """null_space takes an all-int matrix as it is and clears the others; the
+    kernel must not depend on which, nor on a nonzero rational scale."""
+    n_rows, cols = len(rows), len(rows[0])
+    ints = [x for r in rows for x in r]
+    kernels = [
+        [v.column(0) for v in null_space(QMatrix.from_parts(n_rows, cols, entries))]
+        for entries in (ints, [F(x) for x in ints], [c * x for x in ints])
+    ]
+    assert kernels[1:] == kernels[:1] * 2
+    assert all(type(x) is F for v in kernels[0] for x in v)
+
+
 @given(small_matrix())
 @settings(max_examples=200, deadline=None)
 def test_rank_nullity(m):

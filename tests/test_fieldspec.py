@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -43,6 +44,24 @@ class TestBuildHsa:
     def test_params_recoverable(self):
         p = HsaParams(F(1, 2), 0, F(-3), 7)
         assert hsa_params_of(build_hsa(p)) == p
+
+    @pytest.mark.parametrize("alpha", [0, 1, -1, F(1, 2), F(-3, 2)])
+    def test_terms_match_arithmetic_reference(self, alpha):
+        # build_hsa writes the terms out; Poly arithmetic on the formulas must
+        # give the same terms in the same key order, and the same text
+        for beta, kappa, lam in itertools.product([0, 1, F(-2, 3)], repeat=3):
+            p = HsaParams(alpha, beta, kappa, lam)
+            want = (
+                X * (Y - ONE) - Z.scale(p.beta),
+                (ONE - X * X).scale(p.alpha) - Y.scale(p.kappa),
+                X - Z.scale(p.lam),
+            )
+            f = build_hsa(p)
+            for got, ref in zip(f.components(), want):
+                assert list(got.terms.items()) == list(ref.terms.items())
+                assert str(got) == str(ref)
+            assert hsa_params_of(f) == p
+            assert f.label == f"hsa(alpha={alpha}, beta={beta}, kappa={kappa}, lambda={lam})"
 
     def test_non_hsa_field_not_recognized(self):
         f = parse_field("dx = x\ndy = y\ndz = z\n")
