@@ -369,6 +369,9 @@ def _template_from_json(text: str) -> CofactorTemplate:
         )
         if not (isinstance(fixed, dict) and isinstance(sweep, dict)):
             raise ValueError('expected an object whose "fixed" and "enumerate" are objects')
+        unknown = [k for k in raw if k not in ("fixed", "eigen", "enumerate")]
+        if unknown:
+            raise ValueError(f"unknown key {json.dumps(unknown[0])}; expected fixed, eigen, enumerate")
         if not all(isinstance(vals, list) for vals in sweep.values()):
             raise ValueError('"enumerate" must map each slot to an array')
         fixed = tuple((k, _json_rational(v)) for k, v in fixed.items())
@@ -407,7 +410,7 @@ def cmd_search_darboux(args) -> int:
         template = (
             _template_from_json(args.template_json)
             if args.template_json
-            else CofactorTemplate.default(args.degree)
+            else CofactorTemplate.for_field(f, args.degree)
         )
         certs, notes = search_darboux_pencil(f, template, args.degree)
         report.update(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .exactmath import PencilMatrix, QMatrix, null_space, pencil_rank_drop
@@ -94,6 +94,15 @@ class CofactorTemplate:
             eigen="b0",
             enumerated=(("b2", sweep),),
         )
+
+    @classmethod
+    def for_field(cls, f: FieldDef, degree_bound: int) -> "CofactorTemplate":
+        """The default template for the dynamo; for any other field, where no
+        top-degree relation fixes b2, the same with b2 swept over -n..n."""
+        if hsa_params_of(f) is not None:
+            return cls.default(degree_bound)
+        sweep = tuple(Fraction(v) for v in range(-degree_bound, degree_bound + 1))
+        return replace(cls.default(degree_bound), enumerated=(("b2", sweep),))
 
 
 @dataclass(frozen=True)
@@ -473,12 +482,13 @@ def analyze(
         )
 
     if template is None:
-        template = CofactorTemplate.default(degree_bound)
-        if hsa_params_of(f) is None:  # the dynamo's top-degree relation fixes b2, b3
+        template = CofactorTemplate.for_field(f, degree_bound)
+        b2 = dict(template.enumerated)["b2"]
+        if b2[0] < 0:  # not the dynamo, whose top-degree relation fixes b2, b3
             notes.append(
-                "default cofactor template (b1 = b3 = 0, b2 swept, b0 eigen) is only "
-                "justified for the built-in dynamo form with alpha != 0; for this model "
-                "the search may be incomplete outside the template family"
+                f"default cofactor template (b1 = b3 = 0, b2 swept over {b2[0]}..{b2[-1]}, "
+                "b0 eigen) is only justified for the built-in dynamo form; for this "
+                "model the search may be incomplete outside the template family"
             )
     else:
         notes.append(

@@ -96,8 +96,8 @@ class QMatrix:
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...], int]:
     """Gauss-Jordan reduction; returns (reduced matrix, pivot columns, rank).
     Each row is cleared of denominators, which leaves the rref unchanged, and
-    reduced over Z by _int_rref; the rref is divided out once at the end."""
-    red, pivots, _, _ = _int_rref(_int_rows(m), m.cols)
+    reduced over Z by _int_rref; its pivot value is divided out once."""
+    red, pivots = _int_rref(_int_rows(m))
     d = red[0][pivots[0]] if pivots else 1
     entries = [Fraction(x, d) for row in red for x in row]
     entries += [Fraction(0)] * ((m.rows - len(red)) * m.cols)
@@ -257,7 +257,7 @@ class PencilRankDrop:
 # ---------------------------------------------------------------------------
 # Integer polynomial helpers (coefficient lists, little-endian). The exact
 # core works over Z: rref, null_space and pencil_rank_drop clear denominators
-# once, reduce with _int_rref or _reduce_rows and divide only in what they return.
+# once, reduce with _reduce_rows and divide only in what they return.
 # ---------------------------------------------------------------------------
 
 
@@ -361,39 +361,6 @@ def rational_roots(p: UniPoly) -> list[Fraction]:
 # Pencil rank-drop machinery
 # ---------------------------------------------------------------------------
 
-def _int_rref(mat: list[list[int]], ncols: int) -> tuple[list, list[int], list[int], int]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss), exact because every
-    entry stays a minor of mat. Returns (rows, pivots, labels, det): the
-    pivot rows, all holding one value d at their pivot and 0 at the other
-    pivots (rows / d is the rref), the pivot columns, the input index of each
-    pivot row, and det(mat) for a square mat (0 if singular)."""
-    work = [list(r) for r in mat]
-    labels = list(range(len(work)))
-    pivots: list[int] = []
-    sign, prev = 1, 1
-    for c in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            work[r], work[piv] = work[piv], work[r]
-            labels[r], labels[piv] = labels[piv], labels[r]
-            sign = -sign
-        wr = work[r]
-        pv = wr[c]
-        for i, wi in enumerate(work):
-            if i != r:
-                f = wi[c]
-                work[i] = [(pv * x - f * y) // prev for x, y in zip(wi, wr)]
-        prev = pv
-        pivots.append(c)
-        if len(pivots) == len(work):
-            break
-    r = len(pivots)
-    return work[:r], pivots, labels[:r], sign * prev if r == len(work) == ncols else 0
-
-
 def _reduce_rows(basis: list[tuple[int, list[int]]], rows) -> list[tuple[int, list[int]]]:
     """basis plus each nonzero row reduced against the (pivot column, row) pairs
     before it, its content removed after each step. By pivot they are in echelon
@@ -429,6 +396,24 @@ def _int_kernel(mat: list[list[int]], ncols: int, kept=None) -> tuple[list, int,
         vectors.append(v)
     d = math.lcm(*(v[f] for v, f in zip(vectors, free)))
     return [[x * (d // v[f]) for x in v] for v, f in zip(vectors, free)], d, free, pivots
+
+
+def _int_rref(mat) -> tuple[list[list[int]], list[int]]:
+    """The rref over Z as (rows, pivots), rows / d the rref for their common
+    pivot value d > 0: _reduce_rows's echelon rows by pivot, each cleared above
+    its pivot bottom up, content removed after each step (the rref is unique)."""
+    basis = sorted(_reduce_rows([], mat))  # pivots are distinct
+    rows, pivots = [row for _, row in basis], [j for j, _ in basis]
+    for i in range(len(rows) - 1, 0, -1):
+        p, r = pivots[i], rows[i]
+        for h in range(i):
+            f = rows[h][p]
+            if f:
+                red = [r[p] * x - f * y for x, y in zip(rows[h], r)]
+                g = math.gcd(*red)
+                rows[h] = [x // g for x in red]
+    d = math.lcm(*(row[p] for row, p in zip(rows, pivots)))
+    return [[x * (d // row[p]) for x in row] for row, p in zip(rows, pivots)], pivots
 
 
 def _cleared(rows, den: int | None = None) -> list[list[int]]:
@@ -499,8 +484,8 @@ def _split(a: list[list[int]], b: list[list[int]]):
     [a1 + beta*t*I; a2], or None when b lacks full column rank.
 
     A search pencil's b is beta times a selection of one row per column, so
-    a row permutation suffices; otherwise b's rows are reduced to [I; 0],
-    scaled by _int_rref's pivot value.
+    a row permutation suffices; otherwise the rref of [b, a] turns b into
+    [beta*I; 0], beta its pivot value.
     """
     n = len(a[0]) if a else 0
     hits = sorted((j, i, x) for i, row in enumerate(b) for j, x in enumerate(row) if x)
@@ -509,7 +494,7 @@ def _split(a: list[list[int]], b: list[list[int]]):
     if [j for j, _, _ in hits] == list(range(n)) and len(set(sel)) == n and one_value:
         rest = [row for i, row in enumerate(a) if i not in set(sel)]
         return [a[i] for i in sel], hits[0][2] if hits else 1, rest
-    red, pivots, _, _ = _int_rref([rb + ra for rb, ra in zip(b, a)], 2 * n)
+    red, pivots = _int_rref([rb + ra for rb, ra in zip(b, a)])
     if pivots[:n] != list(range(n)):
         return None
     rows = [r[n:] for r in red]
@@ -519,15 +504,15 @@ def _split(a: list[list[int]], b: list[list[int]]):
 def _deflate(a: list[list[int]], b: list[list[int]]):
     """One staircase step (Van Dooren 1979) on a pencil a + t*b of full column
     rank over Q(t) with a singular b. On a basis N of ker b the pencil is the
-    constant a*N, of full column rank, so row reduction turns it into
-    [[X(t), I], [a' + t*b', 0]]: (a', b') on b's pivot columns has the same
-    rank drops."""
+    constant a*N, of full column rank, so an echelon form of [a*N, a + t*b on
+    b's pivot columns] is [[U, X(t)], [0, a' + t*b']] with U triangular, and
+    (a', b') has the same rank drops."""
     null, _, _, pivots = _int_kernel(b, len(b[0]))
     aug = [
         [sum(map(operator.mul, ra, v)) for v in null] + [r[j] for r in (ra, rb) for j in pivots]
         for ra, rb in zip(a, b)
     ]
-    rows = [r[len(null) :] for r in _int_rref(aug, len(aug[0]))[0][len(null) :]]
+    rows = [r[len(null) :] for _, r in sorted(_reduce_rows([], aug))[len(null) :]]
     return [r[: len(pivots)] for r in rows], [r[len(pivots) :] for r in rows]
 
 
@@ -536,7 +521,7 @@ def _canonical_basis(vectors: list[list[int]]) -> list[QMatrix]:
     are 1 at their last nonzero entry and 0 at the others' (the free
     columns), before each is scaled to a leading 1: the rref of the span
     with the columns reversed."""
-    red = _int_rref([v[::-1] for v in vectors], len(vectors[0]))[0]
+    red = _int_rref([v[::-1] for v in vectors])[0]
     return [_lead_one(row[::-1]) for row in reversed(red)]
 
 
@@ -573,7 +558,7 @@ def pencil_rank_drop(p: PencilMatrix, rng: random.Random | None = None) -> Penci
     deflated = split is None
     if deflated:
         generic_rank = max(
-            len(_int_rref([[x + tau * y for x, y in zip(*rows)] for rows in zip(a, b)], p.cols)[1])
+            len(_reduce_rows([], [[x + tau * y for x, y in zip(*rows)] for rows in zip(a, b)]))
             for tau in range(p.cols + 1)
         )
         if generic_rank < p.cols:

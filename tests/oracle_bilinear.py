@@ -7,8 +7,8 @@ degree <= bound by a route disjoint from the production pencil machinery:
 sympy builds the coefficient matrix symbolically, candidate t values come
 from the rational roots of the Gram determinant det(M^T M) (rank(M) =
 rank(M^T M) over the reals), computed by sympy's DomainMatrix over the
-polynomial ring QQ[t], and kernels come from sympy's nullspace. Used as the
-comparison oracle in tests.
+polynomial ring ZZ[t] (QQ[t] for rational parameters), and kernels come from
+sympy's nullspace. Used as the comparison oracle in tests.
 """
 
 from fractions import Fraction
@@ -61,7 +61,7 @@ def oracle_cell(alpha, beta, kappa, lam, b2, bound: int):
     for coeff in sp.Poly(rel, _x, _y, _z).coeffs():
         rows.append([sp.expand(sp.diff(coeff, c)) for c in cs])
     m = sp.Matrix(rows)
-    dm = DomainMatrix.from_Matrix(m).convert_to(sp.QQ[_t])
+    dm = DomainMatrix.from_Matrix(m)  # ZZ[t] for integer cells, QQ[t] for rational ones
     det = (dm.transpose() * dm).det().as_expr()
     if det == 0:
         return "parametric"

@@ -158,15 +158,23 @@ class TestModelValidation:
             '{"fixed": {"b1": 0.1, "b3": 0}, "eigen": "b0", "enumerate": {"b2": [1]}}',
             '{"fixed": {"b1": true, "b3": 0}, "eigen": "b0", "enumerate": {"b2": [1]}}',
             '{"fixed": {"b1": 0, "b3": 0}, "eigen": "b0", "enumerate": {"b2": "12"}}',
+            '{"fixed": {"b1": 0, "b3": 0}, "eigen": "b0", "enumerate": {"b2": [1]}, "extra": 5}',
+            '{"fixed": {"b1": 0, "b3": 0}, "eigen": "b0", "enumerated": {"b2": [1]}}',
         ],
         ids=["not-an-object", "fixed-list", "overflowing-float", "zero-denominator", "float",
-             "boolean", "enumerate-string"],
+             "boolean", "enumerate-string", "unknown-key", "misspelt-key"],
     )
     def test_template_json_value_rejected(self, capsys, template):
-        # template values are JSON integers or integer and p/q literal strings
+        # template values are JSON integers or integer and p/q literal strings,
+        # and the only keys are fixed, eigen and enumerate
         args = ["search-darboux"] + HSA_1001 + ["--degree", "2", "--template-json", template]
         assert main(args) == 2
-        assert capsys.readouterr().err.startswith("error: --template-json: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: --template-json: ")
+        raw = json.loads(template)
+        unknown = set(raw) - {"fixed", "eigen", "enumerate"} if isinstance(raw, dict) else set()
+        for key in unknown:  # an unknown key is named, not ignored
+            assert f'unknown key "{key}"; expected fixed, eigen, enumerate' in err
 
     def test_field_file_with_params(self, tmp_path):
         field = tmp_path / "f.txt"
@@ -279,6 +287,16 @@ class TestSearchCommands:
         assert report["mode"] == "pencil"
         assert [c["body"]["text"] for c in report["certificates"]] == ["x", "x^2"]
         assert report["template"]["eigen"] == "b0"
+
+    def test_field_template_sweeps_b2_both_ways(self, tmp_path):
+        field = tmp_path / "f.txt"
+        field.write_text("dx = -x*y\ndy = 1\ndz = 0\n")
+        code, report = run_json(
+            tmp_path, ["search-darboux", "--field", str(field), "--degree", "2"]
+        )
+        assert code == 0
+        assert report["template"]["enumerate"] == {"b2": ["-2", "-1", "0", "1", "2"]}
+        assert "x" in [c["body"]["text"] for c in report["certificates"]]
 
     def test_template_json(self, tmp_path):
         template = '{"fixed": {"b1": "0", "b3": "0", "b2": "1"}, "eigen": "b0", "enumerate": {}}'

@@ -326,6 +326,15 @@ class TestAnalyze:
         v = analyze(f, 2, rng=random.Random(0))
         assert "only justified" in v.notes
 
+    def test_non_hsa_field_sweeps_negative_b2(self):
+        # no top-degree relation pins b2 >= 0 here: x has cofactor -y
+        from darboux3.fieldspec import parse_field
+
+        v = analyze(parse_field("dx = -x*y\ndy = 1\ndz = 0\n"), 2)
+        found = {(str(c.body), c.cofactor) for c in v.darboux_polys}
+        assert ("x", Cofactor(b2=-1)) in found
+        assert "b2 swept over -2..2" in v.notes
+
     def test_alpha_zero_dynamo_gets_no_disclaimer(self):
         # at alpha = 0 the top-degree relation forces b1 = b3 = 0 and b2 = k
         assert "only justified" not in analyze(hsa(0, 1, 1, 1), 2).notes

@@ -491,50 +491,6 @@ def test_rational_roots_complete_and_sound(roots):
 # Internal fraction-free helpers against independent references
 # ---------------------------------------------------------------------------
 
-from darboux3.exactmath import _int_rref  # noqa: E402
-
-
-def _det_cofactor(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * _det_cofactor(minor)
-    return total
-
-
-@given(
-    st.integers(min_value=1, max_value=4).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(min_value=-5, max_value=5), min_size=n, max_size=n),
-            min_size=n,
-            max_size=n,
-        )
-    )
-)
-@settings(max_examples=200, deadline=None)
-def test_int_det_matches_cofactor_expansion(m):
-    assert _int_rref(m, len(m))[3] == _det_cofactor(m)
-
-
-@given(
-    st.integers(min_value=1, max_value=4),
-    st.integers(min_value=1, max_value=4),
-    st.data(),
-)
-@settings(max_examples=200, deadline=None)
-def test_int_elimination_rank_matches_rref(rows, cols, data):
-    mat = [
-        [data.draw(st.integers(min_value=-4, max_value=4)) for _ in range(cols)]
-        for _ in range(rows)
-    ]
-    _, _, pivot_rows, _ = _int_rref(mat, cols)
-    _, _, rank_frac = rref(QMatrix.from_rows(mat))
-    assert len(pivot_rows) == rank_frac
-    assert len(set(pivot_rows)) == len(pivot_rows)
-
 
 @st.composite
 def integer_matrix(draw):
@@ -565,16 +521,38 @@ def integer_matrix(draw):
     return mat
 
 
+def _sympy_rref(mat):
+    import sympy
+
+    red, pivots = sympy.Matrix(mat).rref()
+    return red, list(pivots)
+
+
+@given(integer_matrix())
+@settings(max_examples=300, deadline=None)
+def test_int_elimination_rank_matches_rref(mat):
+    """_int_rref's rows are d times sympy's nonzero rref rows for one d > 0,
+    with the same pivots and rank."""
+    rows, pivots = exactmath._int_rref(mat)
+    red, ref_pivots = _sympy_rref(mat)
+    assert pivots == ref_pivots
+    assert len(rows) == len(ref_pivots)
+    d = rows[0][pivots[0]] if rows else 1
+    assert d > 0
+    assert rows == [[d * x for x in red.row(i)] for i in range(len(rows))]
+
+
 @given(integer_matrix())
 @settings(max_examples=300, deadline=None)
 def test_int_kernel_against_rref(mat):
     """The back-substituted kernel: mat*v = 0, v is d at its own free column
     and 0 at the others, the free columns are rref's non-pivots and there
-    are ncols - rank vectors, with rref (Bareiss) as the reference."""
+    are ncols - rank vectors, with sympy's rref as the reference."""
     cols = len(mat[0])
     basis, d, free, pivots = exactmath._int_kernel(mat, cols)
-    _, ref_pivots, rank = rref(QMatrix.from_rows(mat))
-    assert pivots == list(ref_pivots)
+    _, ref_pivots = _sympy_rref(mat)
+    rank = len(ref_pivots)
+    assert pivots == ref_pivots
     assert free == [j for j in range(cols) if j not in ref_pivots]
     assert len(basis) == cols - rank
     for v, f in zip(basis, free):
