@@ -25,7 +25,6 @@ from .exactmath import (  # noqa: F401
     UniPoly,
     null_space,
     pencil_rank_drop,
-    rational_roots,
     rref,
 )
 from .fieldspec import (  # noqa: F401

@@ -63,6 +63,13 @@ EXIT_DOMAIN = 3
 F2_WINNER_TOLERANCE = 1e-6
 F2_LOSER_THRESHOLD = 1e-3
 
+# flags whose value may start with "-" (an expression such as -y, a literal
+# such as -1/2, a point such as -0.5,0,0); argparse reads such a value as a flag
+SIGNED_VALUE_FLAGS = (
+    "--cofactor", "--poly", "--exp-g", "--exp-den", "--x0",
+    "--alpha", "--beta", "--kappa", "--lambda",
+)
+
 
 def rational_flag(text: str) -> Fraction:
     try:
@@ -656,9 +663,21 @@ def cmd_f2_experiment(args) -> int:
     return EXIT_OK
 
 
+def _joined_signed_values(argv: list[str]) -> list[str]:
+    """argv with each SIGNED_VALUE_FLAGS flag joined to a following token that
+    starts with a single "-", as --flag=value; --flag --other stays as is."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in SIGNED_VALUE_FLAGS and tok[:1] == "-" and tok[:2] != "--":
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined_signed_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except DomainError as exc:

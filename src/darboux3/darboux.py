@@ -2,8 +2,8 @@
 integrals of 3-D polynomial fields.
 
 All searches reduce to exact linear algebra over the rationals on
-degree-bounded coefficient spaces, and none is randomized: the rng
-arguments are accepted, and the CLI echoes its seed, but they change no
+degree-bounded coefficient spaces, and none is randomized: analyze's rng
+argument is accepted, and the CLI echoes its seed, but neither changes any
 output. A found object is always re-verified against its defining relation
 before it is reported.
 """
@@ -86,8 +86,11 @@ class CofactorTemplate:
         x^k*g with x not dividing g, then x*D(x^k*g) = x^k*(k*y*g + x*D(g))
         must equal (b1*x + b2*y + b3*z)*x^k*g. At x = 0 this gives b2 = k
         and b3 = 0, over C and for every alpha. What remains is D(g) = b1*g,
-        which forces b1 = 0 when alpha = 0 (D is then nilpotent); for
-        alpha != 0, b1 = 0 is taken from the paper."""
+        which forces b1 = 0 when alpha = 0 (D is then nilpotent). For
+        alpha != 0, b1 = 0 is only a restriction: when -alpha = s^2 with s > 0
+        rational, D(y + s*x) = s*(y + s*x), and this template misses the
+        factors with b1 != 0, such as the paper's F4 factors x -+ 3/2*y -+ 1/2
+        of HSA(-4/9, 0, 4/3, 0)."""
         sweep = tuple(Fraction(v) for v in range(degree_bound + 1))
         return cls(
             fixed=(("b1", Fraction(0)), ("b3", Fraction(0))),
@@ -271,7 +274,6 @@ def search_darboux_pencil(
     f: FieldDef,
     template: CofactorTemplate,
     degree_bound: int,
-    rng: random.Random | None = None,
 ) -> tuple[list[DarbouxCert], list[str]]:
     """Darboux polynomials whose cofactor matches the template, one linear
     pencil per swept cofactor cell.

@@ -2,7 +2,7 @@
 
 Dense matrices over Q, reduced row echelon form and null spaces, univariate
 polynomials in a single indeterminate t, rational root extraction, and the
-rank-drop analysis of linear matrix pencils A - t*B that powers the
+rank-drop analysis of the integer selection pencils A - t*B that power the
 eigen-cofactor search.
 """
 
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import operator
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +19,9 @@ _ROOT_CANDIDATE_CAP = 20_000
 
 
 class MalformedPencilError(ValueError):
-    """Pencil shape unusable for rank-drop analysis (fewer rows than columns)."""
+    """Pencil unusable for rank-drop analysis: fewer rows than columns, an
+    entry count other than rows*cols, a non-int entry, or a B that is not one
+    value times a selection of one row per column."""
 
 
 class QMatrix:
@@ -52,30 +53,11 @@ class QMatrix:
         m.rows, m.cols, m.entries = rows, cols, entries
         return m
 
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "QMatrix":
-        return cls(rows, cols, [Fraction(0)] * (rows * cols))
-
-    def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> list[Fraction]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def column(self, j: int) -> list[Fraction]:
         return [self.entries[i * self.cols + j] for i in range(self.rows)]
-
-    def mul_vec(self, v: "QMatrix") -> "QMatrix":
-        if v.cols != 1 or v.rows != self.cols:
-            raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            out.append(sum((self.at(i, k) * v.at(k, 0) for k in range(self.cols)), Fraction(0)))
-        return QMatrix(self.rows, 1, out)
 
     def __eq__(self, other) -> bool:
         return (
@@ -84,9 +66,6 @@ class QMatrix:
             and self.cols == other.cols
             and self.entries == other.entries
         )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self.entries)))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(e) for e in self.row(i)) for i in range(self.rows))
@@ -133,15 +112,6 @@ class UniPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def constant(cls, c) -> "UniPoly":
-        return cls([Fraction(c)])
-
-    @classmethod
-    def linear(cls, a0, a1) -> "UniPoly":
-        """a0 + a1*t."""
-        return cls([Fraction(a0), Fraction(a1)])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
@@ -149,28 +119,8 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __call__(self, t0) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t0 + c
-        return acc
-
-    def __mul__(self, other: "UniPoly") -> "UniPoly":
-        if self.is_zero() or other.is_zero():
-            return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)})"
@@ -199,24 +149,11 @@ class UniPoly:
 
 
 class PencilMatrix:
-    """Linear pencil A + t*B: A and B are row-major lists of ints or Fractions,
-    the constant and t coefficients of each entry. pencil_rank_drop clears the
-    denominators of a pencil with Fractions once, and takes all-int ones as is."""
+    """Linear pencil A + t*B: A and B are row-major lists of ints, the constant
+    and t coefficients of each entry. pencil_rank_drop takes only a B that is
+    one value times a selection of one row per column, as every search builds."""
 
     __slots__ = ("rows", "cols", "a", "b")
-
-    def __init__(self, rows: int, cols: int, entries) -> None:
-        """Build from entries that are UniPoly of degree <= 1 or constants."""
-        entries = [e if isinstance(e, UniPoly) else UniPoly.constant(e) for e in entries]
-        if len(entries) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        if any(e.degree > 1 for e in entries):
-            raise ValueError("pencil entries must have degree <= 1 in t")
-        coeffs = [e.coeffs + (Fraction(0),) * (2 - len(e.coeffs)) for e in entries]
-        self.rows = rows
-        self.cols = cols
-        self.a = [c[0] for c in coeffs]
-        self.b = [c[1] for c in coeffs]
 
     @classmethod
     def from_parts(cls, rows: int, cols: int, a: list, b: list) -> "PencilMatrix":
@@ -226,10 +163,6 @@ class PencilMatrix:
         p.rows, p.cols, p.a, p.b = rows, cols, a, b
         return p
 
-    def substitute(self, t0) -> QMatrix:
-        t0 = Fraction(t0)
-        return QMatrix(self.rows, self.cols, [x + t0 * y for x, y in zip(self.a, self.b)])
-
 
 @dataclass(frozen=True)
 class PencilRankDrop:
@@ -238,14 +171,14 @@ class PencilRankDrop:
     candidates holds every rational t0 at which the pencil loses column rank,
     and kernels the null space of the pencil at each candidate, in the same
     order. residual is the part of the gcd of all maximal minors that has no
-    rational roots (zero for a parametric pencil); a nonconstant residual
-    means rank drops at irrational or complex t. minors_sampled is always 0.
-    stop_reason is "W = 0" or "exact dim W = k" for the dimension k of the
-    unobservable subspace that carries the rank drops, "generic rank below
-    column count" for a parametric pencil, or "empty pencil".
+    rational roots; a nonconstant residual means rank drops at irrational or
+    complex t. stop_reason is "W = 0" or "exact dim W = k" for the dimension
+    k of the unobservable subspace that carries the rank drops, or "empty
+    pencil". A selection pencil has full column rank over Q(t), so parametric
+    is always False and minors_sampled, left from the retired minor sampling,
+    always 0; both remain because the benchmark's per-layer counters read them.
     """
 
-    generic_rank: int
     candidates: tuple[Fraction, ...]
     residual: UniPoly
     parametric: bool
@@ -256,8 +189,9 @@ class PencilRankDrop:
 
 # ---------------------------------------------------------------------------
 # Integer polynomial helpers (coefficient lists, little-endian). The exact
-# core works over Z: rref, null_space and pencil_rank_drop clear denominators
-# once, reduce with _reduce_rows and divide only in what they return.
+# core works over Z: rref and null_space clear denominators once,
+# pencil_rank_drop takes integer pencils only; all reduce with _reduce_rows
+# and divide only in what they return.
 # ---------------------------------------------------------------------------
 
 
@@ -316,7 +250,9 @@ def _divisor_count(n: int, cap: int) -> int:
 
 
 def _zp_rational_roots(p: list[int]) -> list[Fraction]:
-    """All rational roots of a nonzero integer polynomial."""
+    """All rational roots of a nonzero integer polynomial, sorted ascending."""
+    if not any(p):
+        raise ValueError("zero polynomial: every value is a root")
     roots: set[Fraction] = set()
     k = 0
     while k < len(p) and p[k] == 0:
@@ -350,13 +286,6 @@ def _zp_rational_roots(p: list[int]) -> list[Fraction]:
     return sorted(roots)
 
 
-def rational_roots(p: UniPoly) -> list[Fraction]:
-    """Exactly the rational roots of p, sorted ascending, duplicates removed."""
-    if p.is_zero():
-        raise ValueError("zero polynomial: every value is a root")
-    return _zp_rational_roots(_cleared([p.coeffs])[0])
-
-
 # ---------------------------------------------------------------------------
 # Pencil rank-drop machinery
 # ---------------------------------------------------------------------------
@@ -380,7 +309,7 @@ def _reduce_rows(basis: list[tuple[int, list[int]]], rows) -> list[tuple[int, li
 def _int_kernel(mat: list[list[int]], ncols: int, kept=None) -> tuple[list, int, list, list]:
     """ker(mat) over Z as (basis, d, free, pivots), one basis vector per free
     column, d there and 0 at the other free columns: mat's rows join kept,
-    _reduce_rows's pairs, and are back-substituted in descending pivot order."""
+    _reduce_rows's pairs, and are solved back in descending pivot order."""
     basis = sorted(_reduce_rows(kept or [], mat), reverse=True)  # pivots are distinct
     pivots = sorted(j for j, _ in basis)
     free = sorted(set(range(ncols)) - set(pivots))
@@ -416,10 +345,10 @@ def _int_rref(mat) -> tuple[list[list[int]], list[int]]:
     return [[x * (d // row[p]) for x in row] for row, p in zip(rows, pivots)], pivots
 
 
-def _cleared(rows, den: int | None = None) -> list[list[int]]:
-    """Rows of ints or Fractions as integer rows: each times den, or times
-    the lcm of its own denominators when den is None."""
-    rows = [(row, den or math.lcm(*{x.denominator for x in row})) for row in rows]
+def _cleared(rows) -> list[list[int]]:
+    """Rows of ints or Fractions as integer rows, each times the lcm of its
+    own denominators."""
+    rows = [(row, math.lcm(*{x.denominator for x in row})) for row in rows]
     return [[x.numerator * (s // x.denominator) for x in row] for row, s in rows]
 
 
@@ -461,7 +390,7 @@ def _krylov_rows(m: list[list[int]], c: list[list[int]]) -> list[tuple[int, list
 
 def _unobservable(m: list[list[int]], c: list[list[int]]):
     """The unobservable subspace W of (C, M), the largest M-invariant subspace
-    of ker C, back-substituted from the reduced Krylov rows, as (basis, d, k,
+    of ker C, solved back from the reduced Krylov rows, as (basis, d, k,
     stop reason): each basis vector d times a unit vector on the rows' free
     columns, and k the integer matrix with M*basis = basis*k/d. The exact
     checks C*W = 0 and M*W in W guard the kernel."""
@@ -480,12 +409,9 @@ def _unobservable(m: list[list[int]], c: list[list[int]]):
 
 
 def _split(a: list[list[int]], b: list[list[int]]):
-    """Rows equivalent to the pencil a + t*b, as (a1, beta, a2) for
-    [a1 + beta*t*I; a2], or None when b lacks full column rank.
-
-    A search pencil's b is beta times a selection of one row per column, so
-    a row permutation suffices; otherwise the rref of [b, a] turns b into
-    [beta*I; 0], beta its pivot value.
+    """The rows of the pencil a + t*b permuted to [a1 + beta*t*I; a2], as
+    (a1, beta, a2). b must be beta times a selection of one row per column,
+    as a search pencil's is; any other b raises MalformedPencilError.
     """
     n = len(a[0]) if a else 0
     hits = sorted((j, i, x) for i, row in enumerate(b) for j, x in enumerate(row) if x)
@@ -494,26 +420,7 @@ def _split(a: list[list[int]], b: list[list[int]]):
     if [j for j, _, _ in hits] == list(range(n)) and len(set(sel)) == n and one_value:
         rest = [row for i, row in enumerate(a) if i not in set(sel)]
         return [a[i] for i in sel], hits[0][2] if hits else 1, rest
-    red, pivots = _int_rref([rb + ra for rb, ra in zip(b, a)])
-    if pivots[:n] != list(range(n)):
-        return None
-    rows = [r[n:] for r in red]
-    return rows[:n], red[0][0], rows[n:]
-
-
-def _deflate(a: list[list[int]], b: list[list[int]]):
-    """One staircase step (Van Dooren 1979) on a pencil a + t*b of full column
-    rank over Q(t) with a singular b. On a basis N of ker b the pencil is the
-    constant a*N, of full column rank, so an echelon form of [a*N, a + t*b on
-    b's pivot columns] is [[U, X(t)], [0, a' + t*b']] with U triangular, and
-    (a', b') has the same rank drops."""
-    null, _, _, pivots = _int_kernel(b, len(b[0]))
-    aug = [
-        [sum(map(operator.mul, ra, v)) for v in null] + [r[j] for r in (ra, rb) for j in pivots]
-        for ra, rb in zip(a, b)
-    ]
-    rows = [r[len(null) :] for _, r in sorted(_reduce_rows([], aug))[len(null) :]]
-    return [r[: len(pivots)] for r in rows], [r[len(pivots) :] for r in rows]
+    raise MalformedPencilError("b is not one value times a selection of one row per column")
 
 
 def _canonical_basis(vectors: list[list[int]]) -> list[QMatrix]:
@@ -525,13 +432,15 @@ def _canonical_basis(vectors: list[list[int]]) -> list[QMatrix]:
     return [_lead_one(row[::-1]) for row in reversed(red)]
 
 
-def pencil_rank_drop(p: PencilMatrix, rng: random.Random | None = None) -> PencilRankDrop:
+def pencil_rank_drop(p: PencilMatrix) -> PencilRankDrop:
     """Find the rational values of t at which the pencil loses column rank,
-    exactly and without randomness; rng is accepted and left untouched.
+    exactly and without randomness. The pencil must hold rows*cols ints in
+    each of a and b, with rows >= cols, and b must be beta times a selection
+    of one row per column; any other pencil raises MalformedPencilError.
 
-    A b of full column rank makes the rows equivalent to [a1 + beta*t*I; a2]
-    (_split): the rank drops where a1 has an eigenvector in ker a2, that is
-    at the eigenvalues of a1 on the unobservable subspace W of (a2, a1), the
+    Such a pencil's rows are a permutation of [a1 + beta*t*I; a2] (_split):
+    the rank drops where a1 has an eigenvector in ker a2, that is at the
+    eigenvalues of a1 on the unobservable subspace W of (a2, a1), the
     largest a1-invariant subspace of ker a2. The gcd of the maximal minors
     is the characteristic polynomial of a1 on W, in t; its rational roots
     are the candidates and its rational-root-free part the residual.
@@ -540,52 +449,31 @@ def pencil_rank_drop(p: PencilMatrix, rng: random.Random | None = None) -> Penci
     rank proves W = 0 (stop_reason "W = 0"), and otherwise stop_reason is
     "exact dim W = k". The kernel at a candidate is W's basis times the
     eigenvectors of a1 on W, in null_space's canonical basis.
-
-    For a singular b the generic rank is the largest rank at t = 0..cols,
-    exact since an r x r minor vanishes at r of them at most; below cols the
-    pencil is parametric. Otherwise staircase steps (_deflate) shrink it until
-    b has full column rank; kernels then come from the substituted pencil.
     """
     if p.rows < p.cols:
         raise MalformedPencilError(f"pencil is {p.rows}x{p.cols}; need rows >= cols")
+    if len(p.a) != p.rows * p.cols or len(p.b) != p.rows * p.cols:
+        raise MalformedPencilError(f"expected {p.rows * p.cols} entries in each of a and b")
+    if not {int}.issuperset(map(type, p.a + p.b)):
+        raise MalformedPencilError("pencil entries must be ints")
     if p.cols == 0:
-        return PencilRankDrop(0, (), UniPoly.constant(1), False, 0, "empty pencil")
+        return PencilRankDrop((), UniPoly([1]), False, 0, "empty pencil")
     a, b = ([v[lo : lo + p.cols] for lo in range(0, p.rows * p.cols, p.cols)] for v in (p.a, p.b))
-    if not {int}.issuperset(map(type, p.a + p.b)):  # an integer pencil needs no clearing
-        den = math.lcm(*{x.denominator for x in p.a + p.b})
-        a, b = _cleared(a, den), _cleared(b, den)
-    split = _split(a, b)
-    deflated = split is None
-    if deflated:
-        generic_rank = max(
-            len(_reduce_rows([], [[x + tau * y for x, y in zip(*rows)] for rows in zip(a, b)]))
-            for tau in range(p.cols + 1)
-        )
-        if generic_rank < p.cols:
-            return PencilRankDrop(
-                generic_rank, (), UniPoly(), True, 0, "generic rank below column count"
-            )
-        while split is None:
-            a, b = _deflate(a, b)
-            split = _split(a, b)
-    m, beta, a2 = split  # (m + beta*t*I)*v = 0 exactly when m*v = -beta*t*v
+    m, beta, a2 = _split(a, b)  # (m + beta*t*I)*v = 0 exactly when m*v = -beta*t*v
     basis, d, k, how = _unobservable(m, [row for row in a2 if any(row)])
     # m acts on W as k/d, so t = -lam/(d*beta) for each eigenvalue lam of k
     charpoly = _zp_primitive([x * (-d * beta) ** i for i, x in enumerate(_charpoly(k))])
     candidates = _zp_rational_roots(charpoly)
     residual, kernels = charpoly, []
     for t0 in candidates:
-        if deflated:  # read off the pencil itself: W lives in deflated coordinates
-            kernels.append(null_space(p.substitute(t0)))
-        else:
-            lam = -d * beta * t0
-            shifted = [
-                [x * lam.denominator - lam.numerator * (i == j) for j, x in enumerate(row)]
-                for i, row in enumerate(k)
-            ]
-            ys = _int_kernel(shifted, len(k))[0]
-            kernels.append(_canonical_basis([_row_times(y, _sparse(zip(*basis))) for y in ys]))
+        lam = -d * beta * t0
+        shifted = [
+            [x * lam.denominator - lam.numerator * (i == j) for j, x in enumerate(row)]
+            for i, row in enumerate(k)
+        ]
+        ys = _int_kernel(shifted, len(k))[0]
+        kernels.append(_canonical_basis([_row_times(y, _sparse(zip(*basis))) for y in ys]))
         while _zp_is_root(residual, t0.numerator, t0.denominator):
             residual = _zp_divide_root(residual, t0.numerator, t0.denominator)
     residual = UniPoly(_zp_primitive(residual))
-    return PencilRankDrop(p.cols, tuple(candidates), residual, False, 0, how, tuple(kernels))
+    return PencilRankDrop(tuple(candidates), residual, False, 0, how, tuple(kernels))

@@ -1,7 +1,7 @@
 """Acceptance suite.
 
 One test per acceptance criterion, each printing a PASS/FAIL line (visible
-with `pytest -s`). Tolerances and runtime budgets are pinned here and nowhere
+with `pytest -s`), and one strict xfail that pins a known gap. Tolerances and runtime budgets are pinned here and nowhere
 else; the drift fixtures carry their pre-verified domain checks inline.
 """
 
@@ -9,6 +9,8 @@ import itertools
 import random
 import time
 from fractions import Fraction as F
+
+import pytest
 
 from darboux3.darboux import (
     CofactorTemplate,
@@ -100,9 +102,7 @@ def test_criterion_1_exp_factor_reproduction():
 def test_criterion_2_darboux_polynomials_bound_4():
     x = Poly.variable("x")
     start = time.monotonic()
-    certs, notes = search_darboux_pencil(
-        hsa(1, 0, 1, 1), CofactorTemplate.default(4), 4, rng=random.Random(SEED)
-    )
+    certs, notes = search_darboux_pencil(hsa(1, 0, 1, 1), CofactorTemplate.default(4), 4)
     t_a = time.monotonic() - start
     powers_ok = [c.body for c in certs] == [x, x**2, x**3, x**4] and notes == []
     cofactors_ok = all(
@@ -111,9 +111,7 @@ def test_criterion_2_darboux_polynomials_bound_4():
     primitive_ok = [c.primitive for c in certs] == [True, False, False, False]
 
     start = time.monotonic()
-    empty_certs, _ = search_darboux_pencil(
-        hsa(1, 1, 1, 1), CofactorTemplate.default(4), 4, rng=random.Random(SEED)
-    )
+    empty_certs, _ = search_darboux_pencil(hsa(1, 1, 1, 1), CofactorTemplate.default(4), 4)
     t_b = time.monotonic() - start
     empty_ok = empty_certs == []
 
@@ -141,13 +139,13 @@ def test_criterion_3_combination_verdicts():
     ok = True
     details = []
     for params in [(1, 1, 1, 1), (1, 0, 1, 1)]:
-        v = analyze(hsa(*params), 4, rng=random.Random(SEED))
+        v = analyze(hsa(*params), 4)
         case_ok = v.conclusion == "none_up_to_bound"
         ok = ok and case_ok
         details.append(f"{params}: {v.conclusion}")
     for lam in (0, 1):
         params = (1, 0, 0, lam)
-        v = analyze(hsa(*params), 4, rng=random.Random(SEED))
+        v = analyze(hsa(*params), 4)
         nontrivial = [c for c in v.combinations if not c.trivial]
         case_ok = v.conclusion == "darboux_integral_found" and len(nontrivial) == 1
         if case_ok:
@@ -196,13 +194,10 @@ def test_criterion_4_oracle_equivalence():
     ]
     assert len(tuples) == 54
     mismatches = []
-    rng = random.Random(SEED)
     for params in tuples:
         f = build_hsa(HsaParams(*params))
         for bound in (1, 2):
-            certs, notes = search_darboux_pencil(
-                f, CofactorTemplate.default(bound), bound, rng=rng
-            )
+            certs, notes = search_darboux_pencil(f, CofactorTemplate.default(bound), bound)
             assert notes == [], (params, bound, notes)
             for b2 in range(-bound, bound + 1):
                 got = {
@@ -351,6 +346,12 @@ def _random_matrix(rng):
     return QMatrix(rows, cols, entries)
 
 
+def _times(m, v):
+    """The product of the matrix m and the column vector v, as a list."""
+    col = v.column(0)
+    return [sum((x * y for x, y in zip(m.row(i), col)), F(0)) for i in range(m.rows)]
+
+
 def test_criterion_7_property_suites():
     rng = random.Random(SEED)
     for _ in range(N_INSTANCES):
@@ -389,7 +390,7 @@ def test_criterion_7_property_suites():
     for _ in range(N_INSTANCES):
         m = _random_matrix(rng)
         for v in null_space(m):
-            assert m.mul_vec(v).entries == [F(0)] * m.rows
+            assert _times(m, v) == [F(0)] * m.rows
 
     report(
         7,
@@ -397,3 +398,21 @@ def test_criterion_7_property_suites():
         f"ring axioms, homogeneous re-sum, Leibniz, rank-nullity, null-space "
         f"exactness: {N_INSTANCES} seeded instances each",
     )
+
+
+# ---------------------------------------------------------------------------
+# Known gap: the resonant family alpha = -s^2, s > 0 rational
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the default template pins b1 = 0, but F4's factors x -+ 3/2*y -+ 1/2 have b1 = -+2/3",
+)
+def test_resonant_tuple_finds_the_paper_f4():
+    """HSA(-4/9, 0, 4/3, 0): kappa*(kappa - 1) = (2/3)^2, so the paper's F4 =
+    h-/h+ * exp(4z/3), with h+- = x +- 3/2*y +- 1/2, is a rational Darboux
+    first integral of degree 1. The default search misses h+- (b1 != 0) and
+    concludes none_up_to_bound; sweeping b1 will make this pass."""
+    v = analyze(hsa(F(-4, 9), 0, F(4, 3), 0), 2)
+    assert v.conclusion == "darboux_integral_found"

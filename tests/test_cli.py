@@ -271,6 +271,45 @@ class TestVerifyCommand:
         assert main(["verify"] + HSA_1111 + ["--poly", "x", "--cofactor", "x^2"]) == 2
 
 
+class TestSignedFlagValues:
+    """Expression, rational and point flags take a value that starts with "-"
+    as the next token, not only in the --flag=value form."""
+
+    def test_cofactor_and_poly(self, tmp_path):
+        field = tmp_path / "f.txt"
+        field.write_text("dx = -x*y\ndy = 1\ndz = 0\n")
+        for poly in ("x", "-x"):
+            code, report = run_json(
+                tmp_path, ["verify", "--field", str(field), "--poly", poly, "--cofactor", "-y"]
+            )
+            assert code == 0
+            assert report["verified"] is True
+            assert (report["config"]["poly"], report["config"]["cofactor"]) == (poly, "-y")
+
+    def test_negative_rational_alpha(self, tmp_path):
+        args = ["analyze", "hsa", "--alpha", "-1/2", "--beta", "0", "--kappa", "1", "--lambda", "1"]
+        code, report = run_json(tmp_path, args + ["--degree", "1"])
+        assert code == 0
+        assert report["config"]["alpha"] == "-1/2"
+
+    def test_resonant_tuple(self, tmp_path):
+        args = ["analyze", "hsa", "--alpha", "-4/9", "--beta", "0", "--kappa", "4/3"]
+        code, report = run_json(tmp_path, args + ["--lambda", "0", "--degree", "1"])
+        assert code == 0
+        assert (report["config"]["alpha"], report["config"]["kappa"]) == ("-4/9", "4/3")
+
+    def test_negative_x0(self, tmp_path):
+        args = ["drift"] + HSA_1001 + ["--integral", "F1", "--x0", "-0.5,0.2,0.1"]
+        code, _ = run_json(tmp_path, args + ["--t-end", "1", "--h", "0.01"])
+        assert code == 3  # F1 needs x > 0: the point was read
+
+    def test_flag_followed_by_a_flag_still_lacks_its_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "hsa", "--alpha", "--beta", "0", "--kappa", "0", "--lambda", "0"])
+        assert exc.value.code == 2
+        assert "--alpha: expected one argument" in capsys.readouterr().err
+
+
 class TestSearchCommands:
     def test_fixed_cofactor_mode(self, tmp_path):
         code, report = run_json(

@@ -157,9 +157,7 @@ class TestSearchDarbouxPencil:
         assert certs[0].cofactor == Cofactor(-1, 0, 1, 0)
 
     def test_power_closure_and_primitive_flags(self):
-        certs, _ = search_darboux_pencil(
-            hsa(1, 0, 1, 1), CofactorTemplate.default(3), 3, rng=random.Random(5)
-        )
+        certs, _ = search_darboux_pencil(hsa(1, 0, 1, 1), CofactorTemplate.default(3), 3)
         bodies = [c.body for c in certs]
         assert bodies == [X, X * X, X ** 3]
         assert [c.primitive for c in certs] == [True, False, False]
@@ -168,9 +166,7 @@ class TestSearchDarbouxPencil:
         ]
 
     def test_beta_nonzero_empty(self):
-        certs, _ = search_darboux_pencil(
-            hsa(1, 1, 1, 1), CofactorTemplate.default(3), 3, rng=random.Random(5)
-        )
+        certs, _ = search_darboux_pencil(hsa(1, 1, 1, 1), CofactorTemplate.default(3), 3)
         assert certs == []
 
     def test_template_validation(self):
@@ -193,9 +189,7 @@ class TestSearchDarbouxPencil:
 
         for params in [(1, 0, 1, 1), (1, 1, 0, -1), (-1, 0, 0, 1)]:
             f = hsa(*params)
-            certs, notes = search_darboux_pencil(
-                f, CofactorTemplate.default(2), 2, rng=random.Random(2)
-            )
+            certs, notes = search_darboux_pencil(f, CofactorTemplate.default(2), 2)
             assert notes == []
             for b2 in range(-2, 3):
                 got = {
@@ -280,18 +274,18 @@ class TestLogCombination:
 
 class TestAnalyze:
     def test_not_integrable_with_beta(self):
-        v = analyze(hsa(1, 1, 1, 1), 2, rng=random.Random(0))
+        v = analyze(hsa(1, 1, 1, 1), 2)
         assert v.conclusion == "none_up_to_bound"
         assert [str(c.body) for c in v.exp_factors] == ["z"]
         assert v.darboux_polys == []
 
     def test_not_integrable_beta_zero_kappa_nonzero(self):
-        v = analyze(hsa(1, 0, 1, 1), 2, rng=random.Random(0))
+        v = analyze(hsa(1, 0, 1, 1), 2)
         assert v.conclusion == "none_up_to_bound"
         assert [str(c.body) for c in v.darboux_polys] == ["x", "x^2"]
 
     def test_integrable_kappa_beta_zero(self):
-        v = analyze(hsa(1, 0, 0, 1), 2, rng=random.Random(0))
+        v = analyze(hsa(1, 0, 0, 1), 2)
         assert v.conclusion == "darboux_integral_found"
         nontrivial = [c for c in v.combinations if not c.trivial]
         assert len(nontrivial) == 1
@@ -323,7 +317,7 @@ class TestAnalyze:
         from darboux3.fieldspec import parse_field
 
         f = parse_field("dx = y\ndy = -x\ndz = 0\n")
-        v = analyze(f, 2, rng=random.Random(0))
+        v = analyze(f, 2)
         assert "only justified" in v.notes
 
     def test_non_hsa_field_sweeps_negative_b2(self):
@@ -342,8 +336,8 @@ class TestAnalyze:
     def test_cubic_field_notes_truncated_cofactor_space(self):
         from darboux3.fieldspec import parse_field
 
-        cubic = analyze(parse_field("dx = x^3\ndy = y\ndz = z\n"), 2, rng=random.Random(0))
-        quadratic = analyze(parse_field("dx = x^2\ndy = y\ndz = z\n"), 2, rng=random.Random(0))
+        cubic = analyze(parse_field("dx = x^3\ndy = y\ndz = z\n"), 2)
+        quadratic = analyze(parse_field("dx = x^2\ndy = y\ndz = z\n"), 2)
         truncated = [line for line in cubic.notes.splitlines() if "truncated" in line]
         assert len(truncated) == 1
         assert "degree <= 1" in truncated[0]
@@ -375,9 +369,7 @@ class TestWiderParameterOracle:
         ]
         for params in samples:
             f = build_hsa(HsaParams(*params))
-            certs, notes = search_darboux_pencil(
-                f, CofactorTemplate.default(2), 2, rng=random.Random(9)
-            )
+            certs, notes = search_darboux_pencil(f, CofactorTemplate.default(2), 2)
             assert notes == []
             for b2 in range(-2, 3):
                 got = {
@@ -397,9 +389,7 @@ class TestAlternateEigenSlot:
             fixed=(("b0", F(-1)), ("b1", F(0)), ("b3", F(0))),
             eigen="b2",
         )
-        certs, notes = search_darboux_pencil(
-            hsa(1, 0, 1, 1), template, 2, rng=random.Random(1)
-        )
+        certs, notes = search_darboux_pencil(hsa(1, 0, 1, 1), template, 2)
         assert notes == []
         assert [(c.body, c.cofactor) for c in certs] == [
             (X, Cofactor(-1, 0, 1, 0))
@@ -416,7 +406,7 @@ class TestGenericParameters:
 
 class TestFractionalParameters:
     def test_analyze_with_fraction_bindings(self):
-        v = analyze(hsa(F(1, 2), 0, F(1, 3), F(2, 5)), 3, rng=random.Random(0))
+        v = analyze(hsa(F(1, 2), 0, F(1, 3), F(2, 5)), 3)
         assert v.conclusion == "none_up_to_bound"
         assert [str(c.body) for c in v.darboux_polys] == ["x", "x^2", "x^3"]
         assert str(v.darboux_polys[0].cofactor) == "y - 1"
