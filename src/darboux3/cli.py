@@ -663,12 +663,21 @@ def cmd_f2_experiment(args) -> int:
     return EXIT_OK
 
 
-def _joined_signed_values(argv: list[str]) -> list[str]:
-    """argv with each SIGNED_VALUE_FLAGS flag joined to a following token that
-    starts with a single "-", as --flag=value; --flag --other stays as is."""
+def _joined_signed_values(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
+    """argv with each SIGNED_VALUE_FLAGS flag (or, as argparse reads it, a unique
+    prefix of one among the subcommand's long options) joined to a following token
+    that starts with a single "-", as --flag=value; --flag --other stays as is."""
+    commands = parser._subparsers._group_actions[0].choices
+    sub = next((commands[tok] for tok in argv if tok in commands), parser)
+    options = [o for o in sub._option_string_actions if o[:2] == "--"]
+
+    def signed(flag: str) -> bool:
+        hits = [flag] if flag in options else [o for o in options if o.startswith(flag)]
+        return len(hits) == 1 and hits[0] in SIGNED_VALUE_FLAGS
+
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] in SIGNED_VALUE_FLAGS and tok[:1] == "-" and tok[:2] != "--":
+        if out and tok[:1] == "-" and tok[:2] != "--" and signed(out[-1]):
             out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
@@ -677,7 +686,8 @@ def _joined_signed_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(_joined_signed_values(sys.argv[1:] if argv is None else list(argv)))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_joined_signed_values(argv, parser))
     try:
         return args.func(args)
     except DomainError as exc:

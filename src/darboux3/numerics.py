@@ -90,19 +90,15 @@ class IntegralSpec:
         if self.which in ("F1", "F2_paper", "F2_corrected"):
             if p.beta != 0 or p.kappa != 0:
                 raise ConstraintError(f"{self.which} requires beta = kappa = 0, got {p}")
-        elif self.which == "F3":
+        elif self.which in ("F3", "F4"):
             if p.beta != 0 or p.kappa == 0 or not p.alpha_matches_kappa():
                 raise ConstraintError(
-                    f"F3 requires beta = 0, kappa != 0 and alpha = -kappa*(kappa-1), got {p}"
+                    f"{self.which} requires beta = 0, kappa != 0 and alpha = -kappa*(kappa-1),"
+                    f" got {p}"
                 )
-        elif self.which == "F4":
-            if p.beta != 0 or p.kappa == 0 or not p.alpha_matches_kappa():
-                raise ConstraintError(
-                    f"F4 requires beta = 0, kappa != 0 and alpha = -kappa*(kappa-1), got {p}"
-                )
-            if p.lam != 0:
+            if self.which == "F4" and p.lam != 0:
                 raise ConstraintError(f"F4 requires lambda = 0, got {p}")
-            if p.kappa * (p.kappa - 1) < 0:
+            if self.which == "F4" and p.kappa * (p.kappa - 1) < 0:
                 raise ConstraintError("F4 requires kappa*(kappa-1) >= 0 for real evaluation")
         elif self.which == "log_combination":
             if not self.terms:
@@ -143,29 +139,75 @@ class StepHalvingStudy:
 # ---------------------------------------------------------------------------
 
 
-def _compile_field(f: FieldDef):
-    """Generate a float evaluator for the three components."""
-
-    def comp_src(p: Poly) -> str:
-        if p.is_zero():
-            return "0.0"
-        parts = []
-        for m, c in p.sorted_terms():
-            facs = [repr(float(c))]
-            for name, e in zip(("x", "y", "z"), m):
-                if e == 1:
-                    facs.append(name)
-                elif e > 1:
-                    facs.append(f"{name}**{e}")
-            parts.append("*".join(facs))
-        return " + ".join(parts)
-
-    src = f"lambda x, y, z: ({comp_src(f.fx)}, {comp_src(f.fy)}, {comp_src(f.fz)})"
-    return eval(src)  # generated from our own coefficient data
+def _poly_src(p: Poly) -> str:
+    """Float expression text of p in x, y, z."""
+    if p.is_zero():
+        return "0.0"
+    parts = []
+    for m, c in p.sorted_terms():
+        facs = [repr(float(c))]
+        for name, e in zip(("x", "y", "z"), m):
+            if e == 1:
+                facs.append(name)
+            elif e > 1:
+                facs.append(f"{name}**{e}")
+        parts.append("*".join(facs))
+    return " + ".join(parts)
 
 
-def _finite(s) -> bool:
-    return all(math.isfinite(v) for v in s)
+# The generated steps, as (the point each stage evaluates the field at,
+# the outputs o<n>, what the step returns, what it returns on overflow) with
+# component {i}, state s<i> and stage j's slope k<j>_<i>. Each expression is the
+# one a per-component loop (`s[i] + 0.5 * h * k1[i]`) evaluated, in that order:
+# regrouped, as in `h * (k1 / 6 + ...)`, it rounds differently, and trajectories,
+# drift values and the simulate/drift reports would move in their last bits.
+_RK4 = (
+    ("s{i}", "s{i} + 0.5 * h * k1_{i}", "s{i} + 0.5 * h * k2_{i}", "s{i} + h * k3_{i}"),
+    ("s{i} + h / 6.0 * (k1_{i} + 2 * k2_{i} + 2 * k3_{i} + k4_{i})",),
+    "o0_0, o0_1, o0_2",
+    "BLOWUP",
+)
+_RKF45 = (
+    (
+        "s{i}",
+        "s{i} + h * 0.25 * k1_{i}",
+        "s{i} + h * (3 / 32 * k1_{i} + 9 / 32 * k2_{i})",
+        "s{i} + h * (1932 / 2197 * k1_{i} - 7200 / 2197 * k2_{i} + 7296 / 2197 * k3_{i})",
+        "s{i} + h * (439 / 216 * k1_{i} - 8 * k2_{i} + 3680 / 513 * k3_{i} - 845 / 4104 * k4_{i})",
+        "s{i} + h * (-8 / 27 * k1_{i} + 2 * k2_{i} - 3544 / 2565 * k3_{i}"
+        " + 1859 / 4104 * k4_{i} - 11 / 40 * k5_{i})",
+    ),
+    (  # the 4th- and the 5th-order solution
+        "s{i} + h * (25 / 216 * k1_{i} + 1408 / 2565 * k3_{i} + 2197 / 4104 * k4_{i}"
+        " - 1 / 5 * k5_{i})",
+        "s{i} + h * (16 / 135 * k1_{i} + 6656 / 12825 * k3_{i} + 28561 / 56430 * k4_{i}"
+        " - 9 / 50 * k5_{i} + 2 / 55 * k6_{i})",
+    ),
+    "(o1_0, o1_1, o1_2), max(abs(o0_0 - o1_0), abs(o0_1 - o1_1), abs(o0_2 - o1_2))",
+    "BLOWUP, 0.0",
+)
+_BLOWUP = (float("nan"),) * 3
+
+
+def _build_step(f: FieldDef, kind: str):
+    """Straight-line step (s0, s1, s2, h) of the field: RK4 for kind "fixed",
+    returning the new state; RKF45 for "adaptive", returning (state, error).
+
+    x**e on floats raises OverflowError rather than returning inf; the step
+    then returns the all-NaN _BLOWUP state (error 0.0), which is not finite.
+    """
+    field = ", ".join(_poly_src(p) for p in (f.fx, f.fy, f.fz))
+    stages, outs, ret, blowup = _RK4 if kind == "fixed" else _RKF45
+    lines = []
+    for j, stage in enumerate(stages, 1):
+        lines.append("x, y, z = " + ", ".join(stage.format(i=i) for i in range(3)))
+        lines.append(f"k{j}_0, k{j}_1, k{j}_2 = {field}")
+    lines += [f"o{n}_{i} = {out.format(i=i)}" for n, out in enumerate(outs) for i in range(3)]
+    body = "\n        ".join(lines)
+    src = f"def step(s0, s1, s2, h):\n    try:\n        {body}\n        return {ret}\n"
+    scope = {"BLOWUP": _BLOWUP}
+    exec(src + f"    except OverflowError:\n        return {blowup}", scope)  # our own data
+    return scope.pop("step")  # kept in its own globals, it would be a cycle only gc frees
 
 
 # Most steps one trajectory keeps: a fixed-step run asking for more is refused
@@ -181,12 +223,13 @@ def integrate(f: FieldDef, x0, t_end: float, mode: StepMode) -> Trajectory:
     """
     if not 0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
-    fn = _compile_field(f)
+    step = _build_step(f, mode.kind)
     x0 = tuple(float(v) for v in x0)
     if len(x0) != 3:
         raise ValueError("initial state must have three components")
     params = hsa_params_of(f)
     label = params if params is not None else f.label
+    isfinite = math.isfinite
 
     times = [0.0]
     states = [x0]
@@ -200,17 +243,17 @@ def integrate(f: FieldDef, x0, t_end: float, mode: StepMode) -> Trajectory:
         t = 0.0
         s = x0
         for i in range(1, n_full + 1):
-            s = _rk4_step(fn, s, h)
+            s = step(*s, h)
             t = i * h
-            if not _finite(s):
+            if not (isfinite(s[0]) and isfinite(s[1]) and isfinite(s[2])):
                 truncated_at, reason = t, "non-finite state (blow-up)"
                 break
             times.append(t)
             states.append(s)
         else:
             if t < t_end - 1e-12 * max(1.0, t_end):
-                s = _rk4_step(fn, s, t_end - t)
-                if _finite(s):
+                s = step(*s, t_end - t)
+                if isfinite(s[0]) and isfinite(s[1]) and isfinite(s[2]):
                     times.append(t_end)
                     states.append(s)
                 else:
@@ -222,8 +265,8 @@ def integrate(f: FieldDef, x0, t_end: float, mode: StepMode) -> Trajectory:
         h = min(1e-2, t_end / 10)
         while t < t_end:
             h = min(h, t_end - t)
-            s_new, err = _rkf45_step(fn, s, h)
-            if not _finite(s_new):
+            s_new, err = step(*s, h)
+            if not (isfinite(s_new[0]) and isfinite(s_new[1]) and isfinite(s_new[2])):
                 truncated_at, reason = t + h, "non-finite state (blow-up)"
                 break
             if err <= tol or h <= 1e-12:
@@ -240,77 +283,6 @@ def integrate(f: FieldDef, x0, t_end: float, mode: StepMode) -> Trajectory:
         times.append(truncated_at if truncated_at is not None else t_end)
         states.append(states[0])
     return Trajectory(times, states, mode, label, truncated_at, reason)
-
-
-_BLOWUP = (float("nan"),) * 3
-
-
-def _rk4_step(fn, s, h):
-    try:
-        k1 = fn(*s)
-        k2 = fn(*(s[i] + 0.5 * h * k1[i] for i in range(3)))
-        k3 = fn(*(s[i] + 0.5 * h * k2[i] for i in range(3)))
-        k4 = fn(*(s[i] + h * k3[i] for i in range(3)))
-        return tuple(s[i] + h / 6.0 * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]) for i in range(3))
-    except OverflowError:
-        return _BLOWUP
-
-
-def _rkf45_step(fn, s, h):
-    try:
-        return _rkf45_step_raw(fn, s, h)
-    except OverflowError:
-        return _BLOWUP, 0.0
-
-
-def _rkf45_step_raw(fn, s, h):
-    k1 = fn(*s)
-    k2 = fn(*(s[i] + h * 0.25 * k1[i] for i in range(3)))
-    k3 = fn(*(s[i] + h * (3 / 32 * k1[i] + 9 / 32 * k2[i]) for i in range(3)))
-    k4 = fn(
-        *(
-            s[i] + h * (1932 / 2197 * k1[i] - 7200 / 2197 * k2[i] + 7296 / 2197 * k3[i])
-            for i in range(3)
-        )
-    )
-    k5 = fn(
-        *(
-            s[i] + h * (439 / 216 * k1[i] - 8 * k2[i] + 3680 / 513 * k3[i] - 845 / 4104 * k4[i])
-            for i in range(3)
-        )
-    )
-    k6 = fn(
-        *(
-            s[i]
-            + h
-            * (
-                -8 / 27 * k1[i]
-                + 2 * k2[i]
-                - 3544 / 2565 * k3[i]
-                + 1859 / 4104 * k4[i]
-                - 11 / 40 * k5[i]
-            )
-            for i in range(3)
-        )
-    )
-    y4 = tuple(
-        s[i] + h * (25 / 216 * k1[i] + 1408 / 2565 * k3[i] + 2197 / 4104 * k4[i] - 1 / 5 * k5[i])
-        for i in range(3)
-    )
-    y5 = tuple(
-        s[i]
-        + h
-        * (
-            16 / 135 * k1[i]
-            + 6656 / 12825 * k3[i]
-            + 28561 / 56430 * k4[i]
-            - 9 / 50 * k5[i]
-            + 2 / 55 * k6[i]
-        )
-        for i in range(3)
-    )
-    err = max(abs(a - b) for a, b in zip(y4, y5))
-    return y5, err
 
 
 # ---------------------------------------------------------------------------
@@ -331,53 +303,69 @@ def _sqrt_pair(kappa: float) -> float:
     return -root if kappa <= 0 else root
 
 
+def _evaluator(spec: IntegralSpec):
+    """The closed-form quantity of spec as a function of float x, y, z, with
+    its parameters converted once (not for the F2 variants)."""
+    p = spec.params
+    alpha, kappa = float(p.alpha), float(p.kappa)
+    if spec.which == "F1":
+        def value(x, y, z):
+            if not x > 0:
+                raise DomainError("x > 0", f"x = {x}")
+            return alpha * math.log(x) - alpha * x * x / 2 - y * y / 2 + y
+
+    elif spec.which == "F3":
+        def value(x, y, z):
+            # algebraically -kappa^2(x^2-1) + (y-1)^2 + kappa(x^2+2y-2); the
+            # completed-square form avoids catastrophic cancellation of O(1)
+            # terms near the equilibrium where T -> 0
+            t2 = kappa * (1 - kappa) * x * x + (y + kappa - 1) ** 2
+            if not t2 > 0:
+                raise DomainError("T^2 > 0", f"T^2 = {t2}")
+            if not -x > 0:
+                raise DomainError("-x > 0", f"x = {x}")
+            t_val = math.sqrt(t2)
+            arg = 2 * (kappa + y - 1 + t_val) / (-x)
+            if not arg > 0:
+                raise DomainError("log argument > 0", f"argument = {arg}")
+            return kappa * math.log(arg) - t_val
+
+    elif spec.which == "F4":
+        s = _sqrt_pair(kappa)
+        def value(x, y, z):
+            den = y + kappa - 1 + x * s
+            if den == 0:
+                raise DomainError("denominator y + kappa - 1 + x*sqrt(kappa)*sqrt(kappa-1) != 0")
+            return (y + kappa - 1 - x * s) / den * math.exp(2 * z * s)
+
+    elif spec.which == "log_combination":
+        terms = [(float(w), base, form) for w, base, form in spec.terms]
+        def value(x, y, z):
+            total = 0.0
+            for w, base, form in terms:
+                val = base.evaluate_f((x, y, z))
+                if form == "log":
+                    if not val > 0:
+                        raise DomainError("log base > 0", f"base {base} = {val}")
+                    total += w * math.log(val)
+                else:
+                    total += w * val
+            return total
+
+    else:
+        raise ConstraintError(f"unknown integral {spec.which!r}")
+    return value
+
+
 def eval_integral(spec: IntegralSpec, state, aux: F2PathContext | None = None) -> float:
     """Evaluate the conserved quantity at a state (the F2 variants need the
     path context aux)."""
     x, y, z = (float(v) for v in state)
-    p = spec.params
-    alpha, kappa = float(p.alpha), float(p.kappa)
-    if spec.which == "F1":
-        if not x > 0:
-            raise DomainError("x > 0", f"x = {x}")
-        return alpha * math.log(x) - alpha * x * x / 2 - y * y / 2 + y
-    if spec.which == "F3":
-        # algebraically -kappa^2(x^2-1) + (y-1)^2 + kappa(x^2+2y-2); the
-        # completed-square form avoids catastrophic cancellation of O(1)
-        # terms near the equilibrium where T -> 0
-        t2 = kappa * (1 - kappa) * x * x + (y + kappa - 1) ** 2
-        if not t2 > 0:
-            raise DomainError("T^2 > 0", f"T^2 = {t2}")
-        if not -x > 0:
-            raise DomainError("-x > 0", f"x = {x}")
-        t_val = math.sqrt(t2)
-        arg = 2 * (kappa + y - 1 + t_val) / (-x)
-        if not arg > 0:
-            raise DomainError("log argument > 0", f"argument = {arg}")
-        return kappa * math.log(arg) - t_val
-    if spec.which == "F4":
-        s = _sqrt_pair(kappa)
-        den = y + kappa - 1 + x * s
-        if den == 0:
-            raise DomainError("denominator y + kappa - 1 + x*sqrt(kappa)*sqrt(kappa-1) != 0")
-        return (y + kappa - 1 - x * s) / den * math.exp(2 * z * s)
     if spec.which in ("F2_paper", "F2_corrected"):
         if aux is None:
             raise ValueError(f"{spec.which} needs a path context")
-        variant = "paper" if spec.which == "F2_paper" else "corrected"
-        return f2_path_value(aux.traj, aux.index, variant, aux.c)
-    if spec.which == "log_combination":
-        total = 0.0
-        for w, base, form in spec.terms:
-            val = base.evaluate_f((x, y, z))
-            if form == "log":
-                if not val > 0:
-                    raise DomainError("log base > 0", f"base {base} = {val}")
-                total += float(w) * math.log(val)
-            else:
-                total += float(w) * val
-        return total
-    raise ConstraintError(f"unknown integral {spec.which!r}")
+        return f2_path_value(aux.traj, aux.index, spec.which.removeprefix("F2_"), aux.c)
+    return _evaluator(spec)(x, y, z)
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +528,7 @@ def drift(traj: Trajectory, spec: IntegralSpec) -> DriftReport:
     if spec.which in ("F2_paper", "F2_corrected"):
         f1 = IntegralSpec("F1", spec.params)
         c = eval_integral(f1, traj.states[0])
-        variant = "paper" if spec.which == "F2_paper" else "corrected"
-        values, n_valid, violation = _f2_series(traj, variant, c)
+        values, n_valid, violation = _f2_series(traj, spec.which.removeprefix("F2_"), c)
         initial = float(values[0])
         max_abs = float(abs(values - initial).max())
         window = (traj.times[0], traj.times[n_valid - 1])
@@ -550,16 +537,19 @@ def drift(traj: Trajectory, spec: IntegralSpec) -> DriftReport:
         )
 
     initial = eval_integral(spec, traj.states[0])  # raises on a bad start
+    value = _evaluator(spec)
     max_abs = 0.0
     violation = None
     last_time = traj.times[0]
-    for t, s in zip(traj.times[1:], traj.states[1:]):
+    for t, (x, y, z) in zip(traj.times[1:], traj.states[1:]):
         try:
-            val = eval_integral(spec, s)
+            val = value(float(x), float(y), float(z))
         except DomainError as exc:
             violation = (t, exc.condition)
             break
-        max_abs = max(max_abs, abs(val - initial))
+        dev = abs(val - initial)
+        if dev > max_abs:  # max(max_abs, dev), NaN included
+            max_abs = dev
         last_time = t
     return DriftReport(
         spec, initial, max_abs, max_abs / (1 + abs(initial)), (traj.times[0], last_time), violation

@@ -303,6 +303,28 @@ class TestSignedFlagValues:
         code, _ = run_json(tmp_path, args + ["--t-end", "1", "--h", "0.01"])
         assert code == 3  # F1 needs x > 0: the point was read
 
+    def test_unique_prefixes(self, tmp_path):
+        field = tmp_path / "f.txt"
+        field.write_text("dx = -x*y\ndy = 1\ndz = 0\n")
+        code, report = run_json(
+            tmp_path, ["verify", "--field", str(field), "--poly", "x", "--cof", "-y"]
+        )
+        assert code == 0
+        assert report["verified"] is True
+        assert report["config"]["cofactor"] == "-y"
+        args = ["analyze", "hsa", "--alph", "-1/2", "--beta", "0", "--kappa", "1", "--lambda", "1"]
+        code, report = run_json(tmp_path, args + ["--degree", "1"])
+        assert code == 0
+        assert report["config"]["alpha"] == "-1/2"
+
+    def test_ambiguous_prefix_left_to_argparse(self, capsys, tmp_path):
+        field = tmp_path / "f.txt"
+        field.write_text("dx = -x*y\ndy = 1\ndz = 0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--field", str(field), "--exp", "-y", "--cofactor", "0"])
+        assert exc.value.code == 2
+        assert "ambiguous option: --exp could match" in capsys.readouterr().err
+
     def test_flag_followed_by_a_flag_still_lacks_its_value(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "hsa", "--alpha", "--beta", "0", "--kappa", "0", "--lambda", "0"])
@@ -584,7 +606,7 @@ class TestNumericCommands:
         def no_step(*args):
             raise AssertionError("integration ran")
 
-        monkeypatch.setattr(numerics, "_rk4_step", no_step)
+        monkeypatch.setattr(numerics, "_build_step", lambda f, kind: no_step)
         assert main(command + ["--t-end", "1e9", "--h", "1e-9"]) == 2
         assert "above the cap" in capsys.readouterr().err
 

@@ -1,15 +1,19 @@
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from darboux3.fieldspec import FieldDef, HsaParams, build_hsa, parse_field
+from darboux3 import numerics
+from darboux3.fieldspec import FieldDef, HsaParams, build_hsa, hsa_params_of, parse_field
 from darboux3.numerics import (
     ConstraintError,
     DomainError,
     F2PathContext,
     IntegralSpec,
     StepMode,
+    Trajectory,
     cumulative_path_integral,
     drift,
     eval_integral,
@@ -19,7 +23,7 @@ from darboux3.numerics import (
     simpson_integral,
     step_halving_study,
 )
-from darboux3.polyring import Poly
+from darboux3.polyring import Monomial, Poly, monomials_up_to
 
 P_F1 = HsaParams(1, 0, 0, 1)
 X0_F1 = (0.5, 0.2, 0.1)
@@ -81,6 +85,222 @@ class TestIntegrate:
         f = parse_field("dx = 0\ndy = 0\ndz = 0 - z\n")
         with pytest.raises(ValueError, match="above the cap"):
             integrate(f, (0.0, 0.0, 1.0), 1.0, StepMode.adaptive(1e-14))
+
+
+    def test_adaptive_blow_up_truncates(self):
+        # the solution 1/(1e-9 - t) leaves the floats inside the first trial
+        # step h = 0.01: x**2 overflows in a stage, and the run stops there
+        f = parse_field("dx = x^2\ndy = 0\ndz = 0\n")
+        traj = integrate(f, (1e9, 0.0, 0.0), 1.0, StepMode.adaptive(1e-6))
+        assert traj.truncated_at == 0.01
+        assert traj.truncation_reason == "non-finite state (blow-up)"
+        assert traj.times == [0.0, 0.01]
+        assert traj.states == [(1e9, 0.0, 0.0)] * 2
+        assert all(math.isfinite(v) for s in traj.states for v in s)
+
+
+# A copy of the per-component stepping loop the generated steps replaced: the
+# generated code must give the same floats, bit for bit, as this one.
+REF_MAX_SAMPLES = 2_000
+
+
+def _ref_compile_field(f: FieldDef):
+    def comp_src(p: Poly) -> str:
+        if p.is_zero():
+            return "0.0"
+        parts = []
+        for m, c in p.sorted_terms():
+            facs = [repr(float(c))]
+            for name, e in zip(("x", "y", "z"), m):
+                if e == 1:
+                    facs.append(name)
+                elif e > 1:
+                    facs.append(f"{name}**{e}")
+            parts.append("*".join(facs))
+        return " + ".join(parts)
+
+    src = f"lambda x, y, z: ({comp_src(f.fx)}, {comp_src(f.fy)}, {comp_src(f.fz)})"
+    return eval(src)
+
+
+def _ref_finite(s) -> bool:
+    return all(math.isfinite(v) for v in s)
+
+
+_REF_BLOWUP = (float("nan"),) * 3
+
+
+def _ref_rk4_step(fn, s, h):
+    try:
+        k1 = fn(*s)
+        k2 = fn(*(s[i] + 0.5 * h * k1[i] for i in range(3)))
+        k3 = fn(*(s[i] + 0.5 * h * k2[i] for i in range(3)))
+        k4 = fn(*(s[i] + h * k3[i] for i in range(3)))
+        return tuple(s[i] + h / 6.0 * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]) for i in range(3))
+    except OverflowError:
+        return _REF_BLOWUP
+
+
+def _ref_rkf45_step(fn, s, h):
+    try:
+        return _ref_rkf45_step_raw(fn, s, h)
+    except OverflowError:
+        return _REF_BLOWUP, 0.0
+
+
+def _ref_rkf45_step_raw(fn, s, h):
+    k1 = fn(*s)
+    k2 = fn(*(s[i] + h * 0.25 * k1[i] for i in range(3)))
+    k3 = fn(*(s[i] + h * (3 / 32 * k1[i] + 9 / 32 * k2[i]) for i in range(3)))
+    k4 = fn(
+        *(
+            s[i] + h * (1932 / 2197 * k1[i] - 7200 / 2197 * k2[i] + 7296 / 2197 * k3[i])
+            for i in range(3)
+        )
+    )
+    k5 = fn(
+        *(
+            s[i] + h * (439 / 216 * k1[i] - 8 * k2[i] + 3680 / 513 * k3[i] - 845 / 4104 * k4[i])
+            for i in range(3)
+        )
+    )
+    k6 = fn(
+        *(
+            s[i]
+            + h
+            * (
+                -8 / 27 * k1[i]
+                + 2 * k2[i]
+                - 3544 / 2565 * k3[i]
+                + 1859 / 4104 * k4[i]
+                - 11 / 40 * k5[i]
+            )
+            for i in range(3)
+        )
+    )
+    y4 = tuple(
+        s[i] + h * (25 / 216 * k1[i] + 1408 / 2565 * k3[i] + 2197 / 4104 * k4[i] - 1 / 5 * k5[i])
+        for i in range(3)
+    )
+    y5 = tuple(
+        s[i]
+        + h
+        * (
+            16 / 135 * k1[i]
+            + 6656 / 12825 * k3[i]
+            + 28561 / 56430 * k4[i]
+            - 9 / 50 * k5[i]
+            + 2 / 55 * k6[i]
+        )
+        for i in range(3)
+    )
+    err = max(abs(a - b) for a, b in zip(y4, y5))
+    return y5, err
+
+
+def _ref_integrate(f: FieldDef, x0, t_end: float, mode: StepMode) -> Trajectory:
+    if not 0 < t_end < math.inf:
+        raise ValueError("t_end must be positive and finite")
+    fn = _ref_compile_field(f)
+    x0 = tuple(float(v) for v in x0)
+    if len(x0) != 3:
+        raise ValueError("initial state must have three components")
+    params = hsa_params_of(f)
+    label = params if params is not None else f.label
+
+    times = [0.0]
+    states = [x0]
+    truncated_at = None
+    reason = None
+    if mode.kind == "fixed":
+        h = mode.value
+        n_full = int(t_end / h + 1e-9)
+        if n_full > REF_MAX_SAMPLES:
+            raise ValueError(f"t_end / h asks for {n_full} steps, above the cap of {REF_MAX_SAMPLES}")
+        t = 0.0
+        s = x0
+        for i in range(1, n_full + 1):
+            s = _ref_rk4_step(fn, s, h)
+            t = i * h
+            if not _ref_finite(s):
+                truncated_at, reason = t, "non-finite state (blow-up)"
+                break
+            times.append(t)
+            states.append(s)
+        else:
+            if t < t_end - 1e-12 * max(1.0, t_end):
+                s = _ref_rk4_step(fn, s, t_end - t)
+                if _ref_finite(s):
+                    times.append(t_end)
+                    states.append(s)
+                else:
+                    truncated_at, reason = t_end, "non-finite state (blow-up)"
+    else:
+        tol = mode.value
+        t = 0.0
+        s = x0
+        h = min(1e-2, t_end / 10)
+        while t < t_end:
+            h = min(h, t_end - t)
+            s_new, err = _ref_rkf45_step(fn, s, h)
+            if not _ref_finite(s_new):
+                truncated_at, reason = t + h, "non-finite state (blow-up)"
+                break
+            if err <= tol or h <= 1e-12:
+                if len(times) > REF_MAX_SAMPLES:
+                    raise ValueError(f"adaptive run above the cap of {REF_MAX_SAMPLES} steps")
+                t += h
+                s = s_new
+                times.append(t)
+                states.append(s)
+            factor = 0.9 * (tol / err) ** 0.2 if err > 0 else 5.0
+            h *= min(5.0, max(0.2, factor))
+    if len(times) < 2:
+        times.append(truncated_at if truncated_at is not None else t_end)
+        states.append(states[0])
+    return Trajectory(times, states, mode, label, truncated_at, reason)
+
+
+def _outcome(run, *args):
+    try:
+        traj = run(*args)
+    except ValueError as exc:  # the sample cap
+        return ("ValueError", str(exc))
+    return traj, repr(traj)  # repr tells -0.0 from 0.0
+
+
+_coefficient = st.builds(
+    F, st.integers(-3, 3).filter(bool), st.sampled_from([1, 2, 3, 4])
+)
+_component = st.dictionaries(st.sampled_from(monomials_up_to(3)), _coefficient, max_size=4)
+
+
+@st.composite
+def _drawn_field(draw):
+    comps = [draw(_component) for _ in range(3)]
+    if draw(st.booleans()):  # dx gains 4x^3: blows up from any x != 0 by t = 1/(8x^2)
+        comps[0][Monomial(3, 0, 0)] = F(4)
+    return FieldDef(*(Poly(c) for c in comps))
+
+
+_coordinate = st.floats(-2, 2)
+
+
+@given(
+    f=_drawn_field(),
+    # a start at 1e9 overflows inside the first step of most fields
+    x0=st.tuples(_coordinate | st.sampled_from([1e3, 1e9]), _coordinate, _coordinate),
+    t_end=st.floats(0.05, 2.0),
+    h=st.floats(1e-3, 0.5),
+    tol=st.sampled_from([1e-3, 1e-6, 1e-9]),
+)
+@settings(max_examples=100, deadline=None)
+def test_generated_steps_match_the_per_component_loop(f, x0, t_end, h, tol):
+    with mock.patch.object(numerics, "MAX_SAMPLES", REF_MAX_SAMPLES):
+        for mode in (StepMode.fixed(h), StepMode.adaptive(tol)):
+            assert _outcome(integrate, f, x0, t_end, mode) == _outcome(
+                _ref_integrate, f, x0, t_end, mode
+            )
 
 
 class TestEvalIntegral:
