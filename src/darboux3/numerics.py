@@ -3,11 +3,12 @@
 Trajectory integration of a polynomial field (classical 4th-order fixed step
 or an embedded adaptive pair), closed-form conserved-quantity evaluators for
 the dynamo's integrable regimes, a path-integral construction for the
-quadrature-defined quantity, and conservation-drift reports that act as the
-numerical witness that a candidate really is constant along the flow.
+quadrature-defined quantity (composite Simpson along the trajectory's time
+grid), and conservation-drift reports that act as the numerical witness that
+a candidate really is constant along the flow.
 
-Everything here is 64-bit binary floating point; exact arithmetic stays on
-the symbolic side.
+Everything here is 64-bit binary floating point in pure Python (`math` and
+lists); exact arithmetic stays on the symbolic side.
 """
 
 from __future__ import annotations
@@ -15,12 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .fieldspec import FieldDef, HsaParams, hsa_params_of
 from .polyring import Poly
-
-# numpy and scipy.integrate are imported inside the functions that use them, so
-# importing the package (and every symbolic CLI command) does not pay for them
 
 
 class DomainError(ValueError):
@@ -219,7 +218,8 @@ def integrate(f: FieldDef, x0, t_end: float, mode: StepMode) -> Trajectory:
     """Integrate dX/dt = f(X) from x0 over [0, t_end].
 
     Non-finite states do not raise: the trajectory is truncated at the last
-    finite sample and flagged. More than MAX_SAMPLES steps raise ValueError.
+    finite sample and flagged, as is an adaptive run at an accepted step too
+    small to advance t. More than MAX_SAMPLES steps raise ValueError.
     """
     if not 0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
@@ -270,6 +270,9 @@ def integrate(f: FieldDef, x0, t_end: float, mode: StepMode) -> Trajectory:
                 truncated_at, reason = t + h, "non-finite state (blow-up)"
                 break
             if err <= tol or h <= 1e-12:
+                if t + h == t:  # h is below t's resolution: the sample would repeat t
+                    truncated_at, reason = t, "step no longer advances t (stalled)"
+                    break
                 if len(times) > MAX_SAMPLES:
                     raise ValueError(f"adaptive run above the cap of {MAX_SAMPLES} steps")
                 t += h
@@ -385,63 +388,58 @@ def _f2_series(traj: Trajectory, variant: str, c: float):
     Returns (values, n_valid, violation) where violation is None or
     (time, reason) for the first sample excluded from the window. The branch
     of w is pinned to the sign of y - 1 at the start; the window ends where
-    that sign flips, the w-bracket leaves (0, inf), or x crosses 0.
+    that sign flips, the w-bracket leaves (0, inf), or x crosses 0. Both path
+    integrals take cumulative_path_integral's composite Simpson rule on the
+    window's time grid, in pure Python; exp overflowing to inf gives NaN values.
     """
-    import numpy as np
-    from scipy.integrate import cumulative_simpson
-
     if variant not in ("paper", "corrected"):
         raise ValueError(f"unknown F2 variant {variant!r}")
     p = _require_hsa(traj)
     if p.beta != 0 or p.kappa != 0:
         raise ConstraintError("F2 requires beta = kappa = 0")
     alpha, lam = float(p.alpha), float(p.lam)
+    ts = traj.times
+    x0, y0, _ = traj.states[0]
 
-    ts = np.asarray(traj.times)
-    xs = np.asarray([s[0] for s in traj.states])
-    ys = np.asarray([s[1] for s in traj.states])
-    zs = np.asarray([s[2] for s in traj.states])
-
-    sgn = math.copysign(1.0, ys[0] - 1.0)
-    if ys[0] == 1.0:
+    sgn = math.copysign(1.0, y0 - 1.0)
+    if y0 == 1.0:
         raise DomainError("sign(y - 1) defined", "y = 1 at the start")
-    if not xs[0] > 0:
-        raise DomainError("x > 0", f"x = {xs[0]} at the start")
+    if not x0 > 0:
+        raise DomainError("x > 0", f"x = {x0} at the start")
 
-    n_valid = len(ts)
-    violation = None
-    for i in range(len(ts)):
-        if xs[i] <= 0:
-            n_valid, violation = i, (float(ts[i]), "x crossed 0")
-            break
-        if (ys[i] - 1.0) * sgn <= 0:
-            n_valid, violation = i, (float(ts[i]), "y - 1 changed sign (branch cut)")
+    n_valid, violation = len(ts), None
+    for i, (x, y, _) in enumerate(traj.states):
+        if x <= 0 or (y - 1.0) * sgn <= 0:
+            reason = "x crossed 0" if x <= 0 else "y - 1 changed sign (branch cut)"
+            n_valid, violation = i, (ts[i], reason)
             break
     if n_valid < 2:
         raise DomainError("window too short", "first sample already violates the branch")
 
-    ts, xs, ys, zs = ts[:n_valid], xs[:n_valid], ys[:n_valid], zs[:n_valid]
-    bracket = 1.0 - 2.0 * (c + alpha * xs * xs / 2 - alpha * np.log(xs))
-    bad = np.nonzero(bracket <= 0)[0]
-    if bad.size:
-        i = int(bad[0])
+    xs, ys, zs = zip(*traj.states[:n_valid])
+    bracket = [1.0 - 2.0 * (c + alpha * x * x / 2 - alpha * math.log(x)) for x in xs]
+    i = next((i for i, b in enumerate(bracket) if b <= 0), None)
+    if i is not None:
         if i == 0:
             raise DomainError("w bracket > 0", "bracket <= 0 at the start")
-        if violation is None or ts[i] < violation[0]:
-            violation = (float(ts[i]), "w bracket reached 0")
-        n_valid = i
-        ts, xs, ys, zs, bracket = ts[:i], xs[:i], ys[:i], zs[:i], bracket[:i]
-        if n_valid < 2:
+        if i < 2:
             raise DomainError("window too short", "w bracket fails immediately")
+        n_valid, violation = i, (ts[i], "w bracket reached 0")
 
-    w = sgn / np.sqrt(bracket)
-    xdot = xs * (ys - 1.0)  # beta = 0
-    u = xs * w if variant == "paper" else w / xs
-    exponent = cumulative_simpson(u * xdot, x=ts, initial=0.0)
-    v = np.exp(lam * exponent)
-    inner = cumulative_simpson(v * w * xdot, x=ts, initial=0.0)
-    values = zs * v - inner
-    return values, n_valid, violation
+    w = [sgn / math.sqrt(b) for b in bracket[:n_valid]]
+    xdot = [x * (y - 1.0) for x, y in zip(xs, ys[:n_valid])]  # beta = 0; zip stops at n_valid
+    du = [(x * wi if variant == "paper" else wi / x) * xd for x, wi, xd in zip(xs, w, xdot)]
+    simpson = cumulative_path_integral(ts[:n_valid])
+    v = [_exp(lam * e) for e in simpson(du)]
+    inner = simpson([vi * wi * xd for vi, wi, xd in zip(v, w, xdot)])
+    return [z * vi - s for z, vi, s in zip(zs, v, inner)], n_valid, violation
+
+
+def _exp(a: float) -> float:  # math.exp, but inf where it overflows, as numpy's exp
+    try:
+        return math.exp(a)
+    except OverflowError:
+        return math.inf
 
 
 def f2_path_value(traj: Trajectory, upto_index: int, variant: str, c: float) -> float:
@@ -449,14 +447,14 @@ def f2_path_value(traj: Trajectory, upto_index: int, variant: str, c: float) -> 
 
     variant chooses the exponent integrand: x*w(x) ('paper') or w(x)/x
     ('corrected'). The antiderivatives are realized as path integrals along
-    the trajectory (composite Simpson on the time grid), which stays well
-    defined across turning points of x.
+    the trajectory (pure-Python composite Simpson on the time grid), which
+    stays well defined across turning points of x.
     """
     values, n_valid, violation = _f2_series(traj, variant, c)
     if upto_index >= n_valid or upto_index < 0:
         reason = violation[1] if violation else "beyond the trajectory"
         raise DomainError("index inside the valid window", reason)
-    return float(values[upto_index])
+    return values[upto_index]
 
 
 def f2_time_derivative_residual(params: HsaParams, variant: str) -> tuple[Poly, Poly]:
@@ -526,15 +524,13 @@ def drift(traj: Trajectory, spec: IntegralSpec) -> DriftReport:
     """
     _check_traj_params(traj, spec)
     if spec.which in ("F2_paper", "F2_corrected"):
-        f1 = IntegralSpec("F1", spec.params)
-        c = eval_integral(f1, traj.states[0])
+        c = eval_integral(IntegralSpec("F1", spec.params), traj.states[0])
         values, n_valid, violation = _f2_series(traj, spec.which.removeprefix("F2_"), c)
-        initial = float(values[0])
-        max_abs = float(abs(values - initial).max())
+        initial = values[0]
+        devs = [abs(v - initial) for v in values]
+        max_abs = math.nan if any(map(math.isnan, devs)) else max(devs)
         window = (traj.times[0], traj.times[n_valid - 1])
-        return DriftReport(
-            spec, initial, max_abs, max_abs / (1 + abs(initial)), window, violation
-        )
+        return DriftReport(spec, initial, max_abs, max_abs / (1 + abs(initial)), window, violation)
 
     initial = eval_integral(spec, traj.states[0])  # raises on a bad start
     value = _evaluator(spec)
@@ -573,21 +569,39 @@ def step_halving_study(
 
 
 # ---------------------------------------------------------------------------
-# Quadrature helpers (exposed for tests and reports)
+# Quadrature
 # ---------------------------------------------------------------------------
 
 
-def simpson_integral(values, times) -> float:
-    """Composite Simpson integral of sampled values over the given grid."""
-    import numpy as np
-    from scipy.integrate import simpson
+def cumulative_path_integral(times):
+    """Composite Simpson's rule on the strictly increasing grid times: a function
+    from sampled values to their running integral (a list, 0.0 at the first
+    sample), with the coefficients computed once.
 
-    return float(simpson(np.asarray(values), x=np.asarray(times)))
+    It gives scipy.integrate.cumulative_simpson(values, x=times, initial=0.0)
+    bit for bit: each interval takes Cartwright's formula, in scipy's operation
+    order, over the panel of samples 0-2, 2-4, ... it lies in (an odd last
+    interval over the last three samples); two samples take the trapezoid.
+    """
+    dx = [b - a for a, b in zip(times, times[1:])]
+    if not all(d > 0 for d in dx):
+        raise ValueError("times must be strictly increasing")
 
+    def coefficients(a, b):  # for the interval a of the panel of intervals a, b
+        r = a / (a + b)  # scipy's x21_x31; q is its x21x21_x31x32
+        q = r * (a / b)
+        return a / 6, 3 - r, 3 + q + r, -q
 
-def cumulative_path_integral(values, times) -> np.ndarray:
-    """Cumulative composite-Simpson integral, 0 at the first sample."""
-    import numpy as np
-    from scipy.integrate import cumulative_simpson
+    panels = [coefficients(a, b) + coefficients(b, a) for a, b in zip(dx[::2], dx[1::2])]
+    tail = coefficients(dx[-1], dx[-2]) if len(dx) % 2 and len(dx) > 1 else None
 
-    return cumulative_simpson(np.asarray(values), x=np.asarray(times), initial=0.0)
+    def integral(y) -> list[float]:
+        terms = [dx[0] * (y[1] + y[0]) / 2.0] if len(dx) == 1 else []
+        for (h, c1, c2, c3, g, d1, d2, d3), y0, y1, y2 in zip(panels, y[::2], y[1::2], y[2::2]):
+            terms += h * (c1 * y0 + c2 * y1 + c3 * y2), g * (d1 * y2 + d2 * y1 + d3 * y0)
+        if tail:
+            h, c1, c2, c3 = tail
+            terms.append(h * (c1 * y[-1] + c2 * y[-2] + c3 * y[-3]))
+        return list(accumulate(terms, initial=0.0))
+
+    return integral

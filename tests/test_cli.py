@@ -717,24 +717,22 @@ class TestCrossProcessStability:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    @staticmethod
-    def loaded_by_cli_import(package: str) -> str:
-        """The modules of package that a fresh `import darboux3.cli` loads."""
+    def test_f2_drift_loads_neither_numpy_nor_scipy(self):
+        # F2 is the one quadrature-defined integral; its path integral is pure Python
         code = (
-            "import sys, darboux3.cli; "
-            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
+            "import sys; from darboux3.cli import main; "
+            "assert main(['drift', 'hsa', '--alpha', '1', '--beta', '0', '--kappa', '0', "
+            "'--lambda', '1', '--integral', 'F2_corrected', '--x0', '0.5,1.5,0.1', "
+            "'--t-end', '1', '--out', sys.argv[1]]) == 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
         )
         env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": child_pythonpath()}
-        out = subprocess.run(
-            [sys.executable, "-c", code], check=True, env=env, capture_output=True, text=True
-        )
-        return out.stdout.strip()
-
-    def test_cli_import_leaves_scipy_unloaded(self):
-        assert self.loaded_by_cli_import("scipy") == "[]"
-
-    def test_cli_import_leaves_numpy_unloaded(self):
-        assert self.loaded_by_cli_import("numpy") == "[]"
+        with tempfile.TemporaryDirectory() as tmp:
+            out = subprocess.run(
+                [sys.executable, "-c", code, os.path.join(tmp, "drift.json")],
+                check=True, env=env, capture_output=True, text=True,
+            )
+        assert out.stdout.strip() == "[]"
 
     def test_pencil_report_carries_sampling_note(self, tmp_path):
         code, report = run_json(tmp_path, ["search-darboux"] + HSA_1011 + ["--degree", "2"])

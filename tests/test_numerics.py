@@ -1,4 +1,6 @@
+import json
 import math
+import random
 from fractions import Fraction as F
 from unittest import mock
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from darboux3 import numerics
+from darboux3.cli import main
 from darboux3.fieldspec import FieldDef, HsaParams, build_hsa, hsa_params_of, parse_field
 from darboux3.numerics import (
     ConstraintError,
@@ -20,7 +23,6 @@ from darboux3.numerics import (
     f2_path_value,
     f2_time_derivative_residual,
     integrate,
-    simpson_integral,
     step_halving_study,
 )
 from darboux3.polyring import Monomial, Poly, monomials_up_to
@@ -97,6 +99,17 @@ class TestIntegrate:
         assert traj.times == [0.0, 0.01]
         assert traj.states == [(1e9, 0.0, 0.0)] * 2
         assert all(math.isfinite(v) for s in traj.states for v in s)
+
+    def test_adaptive_stall_truncates(self):
+        # near the blow-up at t = 1 the error test fails at every h, and the
+        # steps of h <= 1e-12 taken anyway end up below t's resolution
+        f = parse_field("dx = x^2\ndy = 0\ndz = 0\n")
+        traj = integrate(f, (1.0, 0.0, 0.0), 2.0, StepMode.adaptive(1e-3))
+        assert traj.truncation_reason == "step no longer advances t (stalled)"
+        assert traj.truncated_at == traj.times[-1]
+        assert 1.0 < traj.times[-1] < 1.0001
+        assert len(traj.times) == 3254
+        assert all(a < b for a, b in zip(traj.times, traj.times[1:]))
 
 
 # A copy of the per-component stepping loop the generated steps replaced: the
@@ -247,6 +260,9 @@ def _ref_integrate(f: FieldDef, x0, t_end: float, mode: StepMode) -> Trajectory:
                 truncated_at, reason = t + h, "non-finite state (blow-up)"
                 break
             if err <= tol or h <= 1e-12:
+                if t + h == t:  # the stall stop, not the stepping under test
+                    truncated_at, reason = t, "step no longer advances t (stalled)"
+                    break
                 if len(times) > REF_MAX_SAMPLES:
                     raise ValueError(f"adaptive run above the cap of {REF_MAX_SAMPLES} steps")
                 t += h
@@ -476,14 +492,64 @@ class TestStepHalving:
 
 
 class TestQuadrature:
-    def test_simpson_exact_on_quadratic(self):
+    def test_exact_on_quadratic(self):
         xs = [i / 100 for i in range(101)]
-        ys = [x * x for x in xs]
-        assert simpson_integral(ys, xs) == pytest.approx(1 / 3, abs=1e-15)
+        cumulative = cumulative_path_integral(xs)([x * x for x in xs])
+        assert cumulative[-1] == pytest.approx(1 / 3, abs=1e-15)
+        assert cumulative == pytest.approx([x ** 3 / 3 for x in xs], abs=1e-15)
 
-    def test_cumulative_matches_total(self):
+    def test_zero_at_first_sample(self):
         xs = [i / 50 for i in range(51)]
-        ys = [x ** 3 for x in xs]
-        cumulative = cumulative_path_integral(ys, xs)
-        assert cumulative[0] == 0.0
-        assert cumulative[-1] == pytest.approx(simpson_integral(ys, xs), abs=1e-14)
+        assert cumulative_path_integral(xs)([x ** 3 for x in xs])[0] == 0.0
+        assert cumulative_path_integral([1.0])([7.0]) == [0.0]
+
+    def test_two_samples_take_the_trapezoid(self):
+        assert cumulative_path_integral([1.0, 1.5])([2.0, 4.0]) == [0.0, 1.5]
+
+    def test_repeated_times_rejected(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            cumulative_path_integral([0.0, 0.1, 0.1, 0.2])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            cumulative_path_integral([0.0, 0.2, 0.1])
+
+    def test_matches_scipy_bit_for_bit(self):
+        integrate_ = pytest.importorskip("scipy.integrate")
+        np = pytest.importorskip("numpy")
+        rng = random.Random(20170412)
+        for n in [2, 3, 4, 5] * 10 + [rng.randint(2, 80) for _ in range(400)]:
+            xs = sorted(rng.uniform(-10, 10) for _ in range(n))
+            if len(set(xs)) < n:
+                continue
+            ys = [rng.uniform(-1, 1) * 10 ** rng.randint(-6, 6) for _ in range(n)]
+            expected = integrate_.cumulative_simpson(np.array(ys), x=np.array(xs), initial=0.0)
+            assert repr(cumulative_path_integral(xs)(ys)) == repr(expected.tolist()), (xs, ys)
+
+
+def _f2_cli_drift(tmp_path, *flags):
+    out = tmp_path / "drift.json"
+    argv = ["drift", "hsa", "--alpha", "1", "--beta", "0", "--kappa", "0"]
+    argv += ["--integral", "F2_corrected", "--x0", "0.5,1.5,0.1", *flags, "--out", str(out)]
+    return main(argv), json.loads(out.read_text())["drift"]
+
+
+def test_f2_exp_overflow_reports_nan_drift(tmp_path):
+    # exp(lam * exponent) overflows to inf from the 710th sample on, inf - inf
+    # gives NaN there, and a series holding a NaN has a NaN maximum
+    code, report = _f2_cli_drift(tmp_path, "--lambda", "1000", "--t-end", "2")
+    assert code == 0
+    assert math.isnan(report["max_abs_drift"]) and math.isnan(report["relative_drift"])
+    assert report["initial_value"] == 0.1
+    assert report["window"] == [0.0, 1.76]
+    assert report["domain_violation"] == {
+        "time": 1.7610000000000001,
+        "reason": "y - 1 changed sign (branch cut)",
+    }
+
+
+def test_f2_two_sample_window(tmp_path):
+    code, report = _f2_cli_drift(tmp_path, "--lambda", "1", "--t-end", "1e-3", "--h", "1e-3")
+    assert code == 0
+    assert report["max_abs_drift"] == 1.2513551306270188e-10
+    assert report["relative_drift"] == 1.1375955732972896e-10
+    assert report["window"] == [0.0, 0.001]
+    assert report["domain_violation"] is None
