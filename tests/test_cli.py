@@ -717,6 +717,25 @@ class TestCrossProcessStability:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @staticmethod
+    def loaded_by_cli_import(package: str) -> str:
+        """The modules of package that a fresh `import darboux3.cli` loads."""
+        code = (
+            "import sys, darboux3.cli; "
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
+        )
+        env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": child_pythonpath()}
+        out = subprocess.run(
+            [sys.executable, "-c", code], check=True, env=env, capture_output=True, text=True
+        )
+        return out.stdout.strip()
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        assert self.loaded_by_cli_import("scipy") == "[]"
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        assert self.loaded_by_cli_import("numpy") == "[]"
+
     def test_f2_drift_loads_neither_numpy_nor_scipy(self):
         # F2 is the one quadrature-defined integral; its path integral is pure Python
         code = (
