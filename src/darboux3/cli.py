@@ -320,7 +320,9 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_json(args, report: dict) -> None:
-    _emit(args, json.dumps(report, indent=2) + "\n")
+    # strict RFC 8259 JSON: a NaN or infinite float is written as null
+    report = json.loads(json.dumps(report), parse_constant=lambda _: None)
+    _emit(args, json.dumps(report, indent=2, allow_nan=False) + "\n")
 
 
 def _require_degree(degree: int) -> None:

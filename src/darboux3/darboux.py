@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .exactmath import PencilMatrix, QMatrix, null_space, pencil_rank_drop
+from .exactmath import PencilMatrix, QMatrix, UniPoly, null_space, pencil_rank_drop
 from .fieldspec import FieldDef, hsa_params_of, lie_derivative
 from .polyring import Cofactor, Monomial, Poly, monomials_up_to, poly_from_coeff_vector
 
@@ -284,10 +284,12 @@ def search_darboux_pencil(
     monomial. The Lie matrix and the slot multiplications are assembled once,
     as integers scaled by the lcm D of the field's and the pinned values'
     denominators; each cell only subtracts its pinned slots, and its pencil
-    D*A - t*D*B has the same rank drops, at the same t. Rational rank-drop
-    values of t and their kernels are found by pencil_rank_drop and each
-    kernel vector is re-verified. B is injective, so no cell is parametric;
-    a cell whose eigen values include irrational or complex ones gets a note.
+    D*A - t*D*B has the same rank drops, at the same t. Each block of the
+    cells' shared nonzero pattern (_blocks; for the dynamo, the parities of
+    the x plus z exponent, kept by (x, y, z) -> (-x, y, -z)) is solved apart
+    by pencil_rank_drop, whose merge rule gives the whole cell's result. Each
+    kernel vector is re-verified. B is injective, so no cell is parametric; a
+    cell whose eigen values include irrational or complex ones gets a note.
     For the dynamo, a cell with b2 < 0 or b3 != 0 has no rank drop at any
     complex t (CofactorTemplate.default), so the default sweeps b2 over 0..n.
     """
@@ -300,6 +302,10 @@ def search_darboux_pencil(
     lie, scale = _lie_matrix(f, domain, index, [v for _, v in template.fixed] + swept)
     slot_rows = _slot_rows(domain, index)
     minus_b = _minus_cofactor([0] * (rows * cols), cols, slot_rows, {template.eigen: 1}, scale)
+    blocks = [
+        (rs, cs, [domain[j] for j in cs], [minus_b[i * cols + j] for i in rs for j in cs])
+        for rs, cs in _blocks(lie, cols, slot_rows, template)
+    ]
 
     notes: list[str] = []
     certs: list[DarbouxCert] = []
@@ -311,33 +317,56 @@ def search_darboux_pencil(
         pinned.update(zip(sweep_slots, assignment))
         cell_name = ", ".join(f"{s}={v}" for s, v in sorted(pinned.items()))
         a = _minus_cofactor(lie, cols, slot_rows, pinned, scale)
-        pencil = PencilMatrix.from_parts(rows, cols, a, minus_b)
-        result = pencil_rank_drop(pencil)  # B multiplies by a monomial: never parametric
-        if result.residual.degree > 0:
+        residual, kernels = UniPoly([1]), {}
+        for rs, cs, block_domain, b in blocks:
+            block_a = [a[i * cols + j] for i in rs for j in cs]
+            result = pencil_rank_drop(PencilMatrix.from_parts(len(rs), len(cs), block_a, b))
+            residual *= result.residual
+            for t0, kernel in zip(result.candidates, result.kernels):
+                for v in kernel:  # keyed by t, then as null_space orders: by last nonzero
+                    last = cs[max(k for k, x in enumerate(v.entries) if x)]
+                    kernels[t0, last] = poly_from_coeff_vector(v.column(0), block_domain)
+        if residual.degree > 0:
             notes.append(
-                f"cell ({cell_name}): nonconstant residual {result.residual}; "
+                f"cell ({cell_name}): nonconstant residual {residual}; "
                 "its irrational or complex eigen values are not searched"
             )
-        for t0, kernel in zip(result.candidates, result.kernels):
+        for (t0, _), h in sorted(kernels.items()):  # distinct keys: no Poly is compared
+            if h.degree < 1:
+                continue  # constants are not Darboux polynomials
             k_full = Cofactor(**pinned, **{template.eigen: t0})
-            for v in kernel:
-                h = poly_from_coeff_vector(v.column(0), domain)
-                if h.degree < 1:
-                    continue  # constants are not Darboux polynomials
-                h = h.normalized()
-                if not verify_cofactor(f, h, k_full):
-                    raise RuntimeError(
-                        f"internal error: candidate h = {h} at {cell_name}, t={t0} "
-                        "failed re-verification"
-                    )
-                key = (tuple(sorted(h.terms.items())), k_full.coordinates())
-                if key in seen:
-                    continue
-                seen.add(key)
-                certs.append(DarbouxCert("polynomial", h, k_full, degree_bound, primitive=True))
+            h = h.normalized()
+            if not verify_cofactor(f, h, k_full):
+                raise RuntimeError(
+                    f"internal error: candidate h = {h} at {cell_name}, t={t0} "
+                    "failed re-verification"
+                )
+            key = (tuple(sorted(h.terms.items())), k_full.coordinates())
+            if key in seen:
+                continue
+            seen.add(key)
+            certs.append(DarbouxCert("polynomial", h, k_full, degree_bound, primitive=True))
     certs.sort(key=lambda c: c.body.degree)  # stable: discovery order within a degree
     certs = _mark_primitive(certs)
     return certs, notes
+
+
+def _blocks(lie: list[int], cols: int, slot_rows: dict, template: CofactorTemplate) -> list:
+    """The connected blocks, as (rows, columns) pairs, both ascending, of the
+    nonzero pattern that every cell's pencil shares: the row-major Lie matrix
+    plus the rows that the eigen slot (it covers every column) and each slot
+    pinned or swept to a nonzero value select. An all-zero row is in none."""
+    row_cols = [{j for j in range(cols) if lie[i + j]} for i in range(0, len(lie), cols)]
+    nonzero = {template.eigen} | {s for s, v in template.fixed if v}
+    for s in nonzero | {s for s, vs in template.enumerated if any(vs)}:
+        for j, i in enumerate(slot_rows[s]):
+            row_cols[i].add(j)
+    blocks: list[tuple[list[int], set[int]]] = []  # no column is in two
+    for i, js in enumerate(row_cols):
+        joined = [b for b in blocks if b[1] & js]
+        merged = ([i] + [r for rs, _ in joined for r in rs], js.union(*(cs for _, cs in joined)))
+        blocks = [b for b in blocks if not b[1] & js] + [merged]
+    return sorted((sorted(rs), sorted(cs)) for rs, cs in blocks if cs)
 
 
 def _mark_primitive(certs: list[DarbouxCert]) -> list[DarbouxCert]:

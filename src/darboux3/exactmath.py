@@ -122,6 +122,13 @@ class UniPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
 
+    def __mul__(self, other: "UniPoly") -> "UniPoly":
+        out = [0] * (len(self.coeffs) + len(other.coeffs))  # UniPoly drops the top zeros
+        for i, x in enumerate(self.coeffs):
+            for j, y in enumerate(other.coeffs):
+                out[i + j] += x * y
+        return UniPoly(out)
+
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)})"
 
@@ -357,9 +364,14 @@ def _sparse(vectors) -> list[list[tuple[int, int]]]:
     return [[(i, x) for i, x in enumerate(v) if x] for v in vectors]
 
 
-def _row_times(row: list[int], cols) -> list[int]:
-    """row times the matrix of the given _sparse columns."""
-    return [sum([row[i] * x for i, x in col]) for col in cols]
+def _row_times(row: list[int], rows, width: int) -> list[int]:
+    """row times the width-column matrix of the given _sparse rows, row by row."""
+    out = [0] * width
+    for x, r in zip(row, rows):
+        if x:
+            for j, y in r:
+                out[j] += x * y
+    return out
 
 
 def _charpoly(k: list[list[int]]) -> list[int]:
@@ -370,8 +382,8 @@ def _charpoly(k: list[list[int]]) -> list[int]:
     acc = [[0] * d for _ in range(d)]
     for i in range(1, d + 1):
         shifted = [[x + coeffs[-1] * (r == s) for s, x in enumerate(w)] for r, w in enumerate(acc)]
-        cols = _sparse(zip(*shifted))
-        acc = [_row_times(row, cols) for row in k]
+        rows = _sparse(shifted)
+        acc = [_row_times(row, rows, d) for row in k]
         coeffs.append(-sum(acc[r][r] for r in range(d)) // i)
     return coeffs[::-1]
 
@@ -380,11 +392,11 @@ def _krylov_rows(m: list[list[int]], c: list[list[int]]) -> list[tuple[int, list
     """The row space of [C; C*M; ...] as _reduce_rows's pairs. Each round
     multiplies by M the rows the last one kept: their span contains C and, once
     a round keeps nothing, is M-invariant, so it is the whole Krylov space."""
-    mt = _sparse(zip(*m))
+    rows, n = _sparse(m), len(m)
     basis, frontier = [], c
-    while frontier and len(basis) < len(m):
+    while frontier and len(basis) < n:
         kept = len(basis)
-        frontier = [_row_times(row, mt) for _, row in _reduce_rows(basis, frontier)[kept:]]
+        frontier = [_row_times(row, rows, n) for _, row in _reduce_rows(basis, frontier)[kept:]]
     return basis
 
 
@@ -398,10 +410,10 @@ def _unobservable(m: list[list[int]], c: list[list[int]]):
     if len(rows) == len(m):
         return [], 1, [], "W = 0"
     basis, d, free, _ = _int_kernel([], len(m), rows)
-    rows_m = _sparse(m)
-    mv = [_row_times(v, rows_m) for v in basis]  # M*v, one per basis vector
+    mt, sparse_basis = _sparse(zip(*m)), _sparse(basis)
+    mv = [_row_times(v, mt, len(m)) for v in basis]  # M*v, one per basis vector
     in_ker_c = not any(sum(map(operator.mul, row, v)) for row in c for v in basis)
-    if not in_ker_c or [_row_times([w[f] for f in free], _sparse(zip(*basis))) for w in mv] != [
+    if not in_ker_c or [_row_times([w[f] for f in free], sparse_basis, len(m)) for w in mv] != [
         [d * x for x in w] for w in mv
     ]:
         raise RuntimeError("internal error: the Krylov kernel is not the unobservable subspace")
@@ -448,7 +460,11 @@ def pencil_rank_drop(p: PencilMatrix) -> PencilRankDrop:
     W is the kernel of the Krylov rows a2*a1^k (_unobservable): their full
     rank proves W = 0 (stop_reason "W = 0"), and otherwise stop_reason is
     "exact dim W = k". The kernel at a candidate is W's basis times the
-    eigenvectors of a1 on W, in null_space's canonical basis.
+    eigenvectors of a1 on W, in null_space's canonical basis. If no nonzero
+    entry joins two blocks of rows and columns, the merge of the blocks'
+    results is the pencil's: the union of the candidates, at each the kernel
+    vectors embedded and ordered by last nonzero coordinate (null_space's
+    basis of a direct sum), and the product of the residuals.
     """
     if p.rows < p.cols:
         raise MalformedPencilError(f"pencil is {p.rows}x{p.cols}; need rows >= cols")
@@ -464,7 +480,7 @@ def pencil_rank_drop(p: PencilMatrix) -> PencilRankDrop:
     # m acts on W as k/d, so t = -lam/(d*beta) for each eigenvalue lam of k
     charpoly = _zp_primitive([x * (-d * beta) ** i for i, x in enumerate(_charpoly(k))])
     candidates = _zp_rational_roots(charpoly)
-    residual, kernels = charpoly, []
+    residual, kernels, sparse_basis = charpoly, [], _sparse(basis)
     for t0 in candidates:
         lam = -d * beta * t0
         shifted = [
@@ -472,7 +488,7 @@ def pencil_rank_drop(p: PencilMatrix) -> PencilRankDrop:
             for i, row in enumerate(k)
         ]
         ys = _int_kernel(shifted, len(k))[0]
-        kernels.append(_canonical_basis([_row_times(y, _sparse(zip(*basis))) for y in ys]))
+        kernels.append(_canonical_basis([_row_times(y, sparse_basis, len(m)) for y in ys]))
         while _zp_is_root(residual, t0.numerator, t0.denominator):
             residual = _zp_divide_root(residual, t0.numerator, t0.denominator)
     residual = UniPoly(_zp_primitive(residual))

@@ -219,7 +219,8 @@ def integrate(f: FieldDef, x0, t_end: float, mode: StepMode) -> Trajectory:
 
     Non-finite states do not raise: the trajectory is truncated at the last
     finite sample and flagged, as is an adaptive run at an accepted step too
-    small to advance t. More than MAX_SAMPLES steps raise ValueError.
+    small to advance t; an adaptive trial step that is non-finite is rejected
+    unless h <= 1e-12. More than MAX_SAMPLES steps raise ValueError.
     """
     if not 0 < t_end < math.inf:
         raise ValueError("t_end must be positive and finite")
@@ -267,8 +268,10 @@ def integrate(f: FieldDef, x0, t_end: float, mode: StepMode) -> Trajectory:
             h = min(h, t_end - t)
             s_new, err = step(*s, h)
             if not (isfinite(s_new[0]) and isfinite(s_new[1]) and isfinite(s_new[2])):
-                truncated_at, reason = t + h, "non-finite state (blow-up)"
-                break
+                if h <= 1e-12:  # non-finite at the forced-accept floor
+                    truncated_at, reason = t + h, "non-finite state (blow-up)"
+                    break
+                err = math.inf  # rejected, so the error test cuts h by its floor factor 0.2
             if err <= tol or h <= 1e-12:
                 if t + h == t:  # h is below t's resolution: the sample would repeat t
                     truncated_at, reason = t, "step no longer advances t (stalled)"

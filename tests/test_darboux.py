@@ -1,14 +1,22 @@
+import importlib.util
+import itertools
 import math
 import random
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from darboux3.darboux import (
     CofactorTemplate,
+    _blocks,
     _coefficient_spaces,
     _lie_matrix,
+    _mark_primitive,
+    _minus_cofactor,
+    _slot_rows,
     DarbouxCert,
     analyze,
     combination_log_terms,
@@ -21,9 +29,16 @@ from darboux3.darboux import (
     verify_exp_factor,
     verify_exp_factor_rational,
 )
-from darboux3.exactmath import QMatrix, rref
-from darboux3.fieldspec import FieldDef, HsaParams, build_hsa, lie_derivative, parse_expression
-from darboux3.polyring import Cofactor, Poly, monomials_up_to
+from darboux3.exactmath import PencilMatrix, QMatrix, pencil_rank_drop, rref
+from darboux3.fieldspec import (
+    FieldDef,
+    HsaParams,
+    build_hsa,
+    lie_derivative,
+    parse_expression,
+    parse_field,
+)
+from darboux3.polyring import Cofactor, Poly, monomials_up_to, poly_from_coeff_vector
 
 X = Poly.variable("x")
 Y = Poly.variable("y")
@@ -529,3 +544,142 @@ def test_wide_template_obeys_top_degree_lemma(case):
         assert c.cofactor.b3 == 0
     default = search_darboux_pencil(f, CofactorTemplate.default(bound), bound)
     assert (certs, notes) == default
+
+
+# ---------------------------------------------------------------------------
+# The block split of the pencil search. _ref_search_darboux_pencil is the
+# search as it was before the split: one pencil_rank_drop per whole cell
+# pencil. The split must give the same certificates and notes.
+# ---------------------------------------------------------------------------
+
+UNIT_TUPLES = list(itertools.product((0, 1, -1), repeat=4))
+GRID_TUPLES = [p for p in UNIT_TUPLES if p[0]]
+RESONANT_TUPLES = [
+    (1, 1, 1, 1),
+    (1, 0, 0, 1),
+    (F(-4, 9), 0, F(4, 3), 0),
+    (F(-4, 9), 0, F(-1, 3), 0),
+    (-2, 0, 2, 0),
+    (-1, 0, F(1, 2), 1),
+    (F(-4, 9), 1, F(4, 3), 1),
+]
+
+
+def _ref_search_darboux_pencil(f, template, degree_bound):
+    domain, index = _coefficient_spaces(f, degree_bound, 0)
+    rows, cols = len(index), len(domain)
+    swept = [v for _, vals in template.enumerated for v in vals]
+    lie, scale = _lie_matrix(f, domain, index, [v for _, v in template.fixed] + swept)
+    slot_rows = _slot_rows(domain, index)
+    minus_b = _minus_cofactor([0] * (rows * cols), cols, slot_rows, {template.eigen: 1}, scale)
+    notes, certs, seen = [], [], set()
+    sweep_slots = [s for s, _ in template.enumerated]
+    for assignment in itertools.product(*(vals for _, vals in template.enumerated)):
+        pinned = dict(template.fixed)
+        pinned.update(zip(sweep_slots, assignment))
+        cell_name = ", ".join(f"{s}={v}" for s, v in sorted(pinned.items()))
+        a = _minus_cofactor(lie, cols, slot_rows, pinned, scale)
+        result = pencil_rank_drop(PencilMatrix.from_parts(rows, cols, a, minus_b))
+        if result.residual.degree > 0:
+            notes.append(
+                f"cell ({cell_name}): nonconstant residual {result.residual}; "
+                "its irrational or complex eigen values are not searched"
+            )
+        for t0, kernel in zip(result.candidates, result.kernels):
+            k_full = Cofactor(**pinned, **{template.eigen: t0})
+            for v in kernel:
+                h = poly_from_coeff_vector(v.column(0), domain)
+                if h.degree < 1:
+                    continue
+                h = h.normalized()
+                assert verify_cofactor(f, h, k_full)
+                key = (tuple(sorted(h.terms.items())), k_full.coordinates())
+                if key not in seen:
+                    seen.add(key)
+                    certs.append(DarbouxCert("polynomial", h, k_full, degree_bound))
+    certs.sort(key=lambda c: c.body.degree)
+    return _mark_primitive(certs), notes
+
+
+def _assert_split_matches_whole_pencils(f, degree_bound):
+    template = CofactorTemplate.for_field(f, degree_bound)
+    got = search_darboux_pencil(f, template, degree_bound)
+    assert got == _ref_search_darboux_pencil(f, template, degree_bound)
+    return got
+
+
+def test_split_matches_whole_pencils_on_unit_tuples():
+    for params in UNIT_TUPLES:
+        for bound in (1, 2, 3):
+            _assert_split_matches_whole_pencils(hsa(*params), bound)
+
+
+def test_split_matches_whole_pencils_on_resonant_tuples():
+    for params in RESONANT_TUPLES:
+        _assert_split_matches_whole_pencils(hsa(*params), 4)
+
+
+def test_split_multiplies_residuals_across_blocks():
+    # dz = 0 keeps the z degree, so the blocks are z^0, z^1 and z^2 times
+    # the rest; the cell b2 = 0 has the residual (t^2 - 2)^2 (t^2 - 8), the
+    # product of (t^2 - 2)(t^2 - 8) from the first block and t^2 - 2 from
+    # the second
+    f = parse_field("dx = y\ndy = 2*x\ndz = 0\n")
+    _, notes = _assert_split_matches_whole_pencils(f, 2)
+    assert [n for n in notes if "t^6 - 12*t^4 + 36*t^2 - 32" in n] == [
+        "cell (b1=0, b2=0, b3=0): nonconstant residual t^6 - 12*t^4 + 36*t^2 - 32; "
+        "its irrational or complex eigen values are not searched"
+    ]
+    assert [{m.ez for m in cs} for _, cs in _pencil_blocks(f, 2)] == [{0}, {1}, {2}]
+
+
+def _pencil_blocks(f, degree_bound):
+    """The blocks search_darboux_pencil splits every cell's pencil into, with
+    the rows and columns as codomain and domain monomials."""
+    domain, index = _coefficient_spaces(f, degree_bound, 0)
+    codomain = sorted(index, key=index.get)
+    template = CofactorTemplate.for_field(f, degree_bound)
+    lie = _lie_matrix(f, domain, index)[0]
+    blocks = _blocks(lie, len(domain), _slot_rows(domain, index), template)
+    return [([codomain[i] for i in rs], [domain[j] for j in cs]) for rs, cs in blocks]
+
+
+def test_dynamo_blocks_are_the_sigma_parity_classes():
+    # (x, y, z) -> (-x, y, -z) commutes with the dynamo: its pencils never
+    # join monomials whose x plus z exponents differ in parity
+    for params in GRID_TUPLES:
+        for bound in (1, 2, 3, 4):
+            blocks = _pencil_blocks(hsa(*params), bound)
+            parities = [{(m.ex + m.ez) % 2 for m in rs + cs} for rs, cs in blocks]
+            assert parities == [{0}, {1}], (params, bound)
+            domain, _ = _coefficient_spaces(hsa(*params), bound, 0)
+            assert sorted(m for _, cs in blocks for m in cs) == sorted(domain)
+
+
+def test_generic_field_is_one_block():
+    f = parse_field("dx = 1 + y\ndy = x + z\ndz = x*y + 1\n")
+    for bound in (1, 2, 3):
+        blocks = _pencil_blocks(f, bound)
+        assert len(blocks) == 1
+        assert len(blocks[0][1]) == len(_coefficient_spaces(f, bound, 0)[0])
+
+
+def _bench_workloads():
+    """bench/workloads.py, imported from its file and left unchanged."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name, bound", [("hsa_analyze_d4", 4), ("hsa_grid_sweep", 2)])
+def test_bench_golden_verdicts_hold(name, bound):
+    workloads = _bench_workloads()
+    tuples = {"hsa_analyze_d4": workloads.D4_TUPLES, "hsa_grid_sweep": workloads.GRID_TUPLES}[name]
+    golden = workloads.load_golden(name)
+    got = {
+        workloads.tuple_key(p): workloads.verdict_digest(analyze(hsa(*p), bound)) for p in tuples
+    }
+    assert got == golden

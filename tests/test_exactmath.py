@@ -643,6 +643,21 @@ def test_int_kernel_against_rref(mat):
         assert [v[g] for g in free] == [d * (g == f) for g in free]
 
 
+_mostly_zero = st.just(0) | st.integers(min_value=-50, max_value=50)
+
+
+@given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_row_times_is_the_dense_product(n, width, data):
+    """_row_times over the _sparse rows of an n x width integer matrix is the
+    dense row times matrix."""
+    row_of_width = st.lists(_mostly_zero, min_size=width, max_size=width)
+    mat = data.draw(st.lists(row_of_width, min_size=n, max_size=n))
+    row = data.draw(st.lists(_mostly_zero, min_size=n, max_size=n))
+    dense = [sum(row[i] * mat[i][j] for i in range(n)) for j in range(width)]
+    assert exactmath._row_times(row, exactmath._sparse(mat), width) == dense
+
+
 def _krylov_matrix(m, c):
     """[C; C*M; ...; C*M^(n-1)] as raw products, not reduced."""
     out, block = [], [[F(x) for x in row] for row in c]

@@ -91,14 +91,22 @@ class TestIntegrate:
 
     def test_adaptive_blow_up_truncates(self):
         # the solution 1/(1e-9 - t) leaves the floats inside the first trial
-        # step h = 0.01: x**2 overflows in a stage, and the run stops there
+        # step h = 0.01; the non-finite trials are rejected and h shrinks, so
+        # the run follows x up to its blow-up and stops there
         f = parse_field("dx = x^2\ndy = 0\ndz = 0\n")
         traj = integrate(f, (1e9, 0.0, 0.0), 1.0, StepMode.adaptive(1e-6))
-        assert traj.truncated_at == 0.01
-        assert traj.truncation_reason == "non-finite state (blow-up)"
-        assert traj.times == [0.0, 0.01]
-        assert traj.states == [(1e9, 0.0, 0.0)] * 2
+        assert traj.truncated_at is not None and traj.truncated_at <= 1e-9
+        assert traj.truncated_at == traj.times[-1]
+        assert traj.states[-1][0] > 1e18
         assert all(math.isfinite(v) for s in traj.states for v in s)
+
+    def test_adaptive_rejects_an_overflowing_trial_step(self):
+        # at x = 1e6 the first trial step h = 0.01 overflows; a smaller h
+        # follows the decaying solution 1/sqrt(2t + 1e-12) to t_end
+        f = parse_field("dx = -x^3\ndy = 0\ndz = 0\n")
+        traj = integrate(f, (1e6, 0.0, 0.0), 1.0, StepMode.adaptive(1e-6))
+        assert traj.truncated_at is None and traj.times[-1] == 1.0
+        assert traj.states[-1][0] == pytest.approx(1 / math.sqrt(2 + 1e-12), rel=1e-5)
 
     def test_adaptive_stall_truncates(self):
         # near the blow-up at t = 1 the error test fails at every h, and the
@@ -256,9 +264,11 @@ def _ref_integrate(f: FieldDef, x0, t_end: float, mode: StepMode) -> Trajectory:
         while t < t_end:
             h = min(h, t_end - t)
             s_new, err = _ref_rkf45_step(fn, s, h)
-            if not _ref_finite(s_new):
-                truncated_at, reason = t + h, "non-finite state (blow-up)"
-                break
+            if not _ref_finite(s_new):  # the accept policy, not the stepping under test
+                if h <= 1e-12:
+                    truncated_at, reason = t + h, "non-finite state (blow-up)"
+                    break
+                err = math.inf
             if err <= tol or h <= 1e-12:
                 if t + h == t:  # the stall stop, not the stepping under test
                     truncated_at, reason = t, "step no longer advances t (stalled)"
@@ -532,12 +542,13 @@ def _f2_cli_drift(tmp_path, *flags):
     return main(argv), json.loads(out.read_text())["drift"]
 
 
-def test_f2_exp_overflow_reports_nan_drift(tmp_path):
+def test_f2_exp_overflow_reports_null_drift(tmp_path):
     # exp(lam * exponent) overflows to inf from the 710th sample on, inf - inf
-    # gives NaN there, and a series holding a NaN has a NaN maximum
+    # gives NaN there, a series holding a NaN has a NaN maximum, and the
+    # report writes that NaN as JSON null
     code, report = _f2_cli_drift(tmp_path, "--lambda", "1000", "--t-end", "2")
     assert code == 0
-    assert math.isnan(report["max_abs_drift"]) and math.isnan(report["relative_drift"])
+    assert report["max_abs_drift"] is None and report["relative_drift"] is None
     assert report["initial_value"] == 0.1
     assert report["window"] == [0.0, 1.76]
     assert report["domain_violation"] == {
