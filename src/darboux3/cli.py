@@ -1,9 +1,9 @@
 """Command-line front end.
 
-One command per process; every command echoes its configuration and seed into
-a JSON report (or a CSV trajectory for `simulate`) so runs are reproducible
-byte for byte. Rational flags accept integers and p/q literals only; floats
-belong to the numeric commands.
+One command per process; every command returns its report, a JSON object that
+echoes its configuration and seed (or a CSV trajectory for `simulate`), and
+main writes it, so runs are reproducible byte for byte. Rational flags accept
+integers and p/q literals only; floats belong to the numeric commands.
 
 Exit codes: 0 success, 2 validation error, 3 domain error in numeric commands.
 """
@@ -13,13 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
 from .darboux import (
-    HARD_DEGREE_CAP,
+    DEFAULT_DEGREE_BOUND,
     PENCIL_SAMPLING_NOTE,
     CofactorTemplate,
     DarbouxCert,
@@ -35,6 +34,7 @@ from .darboux import (
     verify_exp_factor_rational,
 )
 from .fieldspec import (
+    MAX_DEGREE,
     FieldDef,
     HsaParams,
     ParseError,
@@ -90,32 +90,6 @@ def x0_flag(text: str) -> tuple[float, float, float]:
         raise argparse.ArgumentTypeError(f"bad x0 component: {exc}")
 
 
-@dataclass
-class RunConfig:
-    command: str
-    args: argparse.Namespace
-
-    def echo(self) -> dict:
-        # --out names where the report lands, not what it computes; keeping it
-        # out of the echo lets identical runs to different paths stay
-        # byte-identical
-        skip = {"func", "command", "out"}
-        out = {}
-        for key in sorted(vars(self.args)):
-            if key in skip:
-                continue
-            val = getattr(self.args, key)
-            if val is None:
-                continue
-            if isinstance(val, Fraction):
-                out[key] = str(val)
-            elif isinstance(val, tuple):
-                out[key] = list(val)
-            else:
-                out[key] = val
-        return out
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="darboux3",
@@ -152,12 +126,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="full search pipeline and integrability verdict")
     add_model_args(p_analyze)
-    p_analyze.add_argument("--degree", type=int, default=4)
+    p_analyze.add_argument("--degree", type=int, default=DEFAULT_DEGREE_BOUND)
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_sd = sub.add_parser("search-darboux", help="Darboux polynomial search")
     add_model_args(p_sd)
-    p_sd.add_argument("--degree", type=int, default=4)
+    p_sd.add_argument("--degree", type=int, default=DEFAULT_DEGREE_BOUND)
     p_sd.add_argument(
         "--cofactor",
         metavar="EXPR",
@@ -175,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_se = sub.add_parser("search-expfactors", help="exponential factor search")
     add_model_args(p_se)
-    p_se.add_argument("--degree", type=int, default=4)
+    p_se.add_argument("--degree", type=int, default=DEFAULT_DEGREE_BOUND)
     p_se.set_defaults(func=cmd_search_expfactors)
 
     p_comb = sub.add_parser("combine", help="solve the cofactor combination condition")
@@ -298,39 +272,53 @@ def _cert_block(c: DarbouxCert) -> dict:
     }
 
 
-def _base_report(command: str, cfg: RunConfig, f: FieldDef | None) -> dict:
-    report = {
+def _echo(args) -> dict:
+    """The flags, sorted, without the unset ones. --out names where the report
+    lands, not what it computes; keeping it out lets identical runs to
+    different paths stay byte-identical."""
+    out = {}
+    for key, val in sorted(vars(args).items()):
+        if key in ("func", "command", "out") or val is None:
+            continue
+        out[key] = (
+            str(val) if isinstance(val, Fraction) else list(val) if isinstance(val, tuple) else val
+        )
+    return out
+
+
+def _report(args, f: FieldDef, body: dict) -> dict:
+    """The header every JSON report shares, then the command's own keys."""
+    return {
         "schema": 1,
         "tool": "darboux3",
         "version": __version__,
-        "command": command,
-        "seed": getattr(cfg.args, "seed", 0),
-        "config": cfg.echo(),
+        "command": args.command,
+        "seed": args.seed,
+        "config": _echo(args),
+        "model": _model_block(f),
+        **body,
     }
-    if f is not None:
-        report["model"] = _model_block(f)
-    return report
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text)
+def _emit(args, out: dict | str) -> None:
+    """Write a command's report, to --out or stdout: a dict as strict RFC 8259
+    JSON, where a NaN or infinite float is written as null; text as is."""
+    if isinstance(out, dict):
+        out = json.loads(json.dumps(out), parse_constant=lambda _: None)
+        out = json.dumps(out, indent=2, allow_nan=False) + "\n"
+    if args.out:
+        Path(args.out).write_text(out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(out)
 
 
-def _emit_json(args, report: dict) -> None:
-    # strict RFC 8259 JSON: a NaN or infinite float is written as null
-    report = json.loads(json.dumps(report), parse_constant=lambda _: None)
-    _emit(args, json.dumps(report, indent=2, allow_nan=False) + "\n")
-
-
-def _require_degree(degree: int) -> None:
-    if degree < 1:
-        raise CliError("--degree must be >= 1")
-    if degree > HARD_DEGREE_CAP:
+def _require_product_degree(degree: int) -> None:
+    """Refuse a relation whose largest product has degree above MAX_DEGREE,
+    the parser's cap, before any product is formed."""
+    if degree > MAX_DEGREE:
         raise CliError(
-            f"--degree is capped at {HARD_DEGREE_CAP} (a bound on run time and memory)"
+            f"the relation forms a product of degree {degree}, above the cap of "
+            f"{MAX_DEGREE} (fieldspec.MAX_DEGREE; a bound on run time and memory)"
         )
 
 
@@ -339,35 +327,29 @@ def _require_degree(degree: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_analyze(args) -> int:
-    cfg = RunConfig("analyze", args)
+def cmd_analyze(args) -> dict:
     f = _resolve_model(args)
-    _require_degree(args.degree)
     verdict = analyze(f, args.degree)
     combo_certs = verdict.combination_certs()
-    report = _base_report("analyze", cfg, f)
-    report.update(
-        {
-            "degree_bound": verdict.degree_bound,
-            "darboux_polynomials": [_cert_block(c) for c in verdict.darboux_polys],
-            "exp_factors": [_cert_block(c) for c in verdict.exp_factors],
-            "combinations": [
-                {
-                    "weights": [str(w) for w in combo.weights],
-                    "trivial": combo.trivial,
-                    "terms": [
-                        {"kind": c.kind, "body": str(c.body), "weight": str(w)}
-                        for c, w in zip(combo_certs, combo.weights)
-                    ],
-                }
-                for combo in verdict.combinations
-            ],
-            "conclusion": verdict.conclusion,
-            "notes": verdict.notes.split("\n") if verdict.notes else [],
-        }
-    )
-    _emit_json(args, report)
-    return EXIT_OK
+    body = {
+        "degree_bound": verdict.degree_bound,
+        "darboux_polynomials": [_cert_block(c) for c in verdict.darboux_polys],
+        "exp_factors": [_cert_block(c) for c in verdict.exp_factors],
+        "combinations": [
+            {
+                "weights": [str(w) for w in combo.weights],
+                "trivial": combo.trivial,
+                "terms": [
+                    {"kind": c.kind, "body": str(c.body), "weight": str(w)}
+                    for c, w in zip(combo_certs, combo.weights)
+                ],
+            }
+            for combo in verdict.combinations
+        ],
+        "conclusion": verdict.conclusion,
+        "notes": verdict.notes.split("\n") if verdict.notes else [],
+    }
+    return _report(args, f, body)
 
 
 def _template_from_json(text: str) -> CofactorTemplate:
@@ -399,60 +381,43 @@ def _json_rational(v) -> Fraction:
     raise ValueError(f"expected an integer or a p/q string, got {json.dumps(v):.40}")
 
 
-def cmd_search_darboux(args) -> int:
-    cfg = RunConfig("search-darboux", args)
+def cmd_search_darboux(args) -> dict:
     f = _resolve_model(args)
-    _require_degree(args.degree)
-    report = _base_report("search-darboux", cfg, f)
     if args.cofactor is not None:
         k = Cofactor.from_poly(parse_expression(args.cofactor, dict(f.params)))
         basis = search_darboux_fixed(f, k, args.degree)
-        report.update(
-            {
-                "mode": "fixed-cofactor",
-                "cofactor": _poly_block(k.as_poly()),
-                "degree_bound": args.degree,
-                "kernel_basis": [_poly_block(p) for p in basis],
-            }
-        )
-    else:
-        template = (
-            _template_from_json(args.template_json)
-            if args.template_json
-            else CofactorTemplate.for_field(f, args.degree)
-        )
-        certs, notes = search_darboux_pencil(f, template, args.degree)
-        report.update(
-            {
-                "mode": "pencil",
-                "template": {
-                    "fixed": {k: str(v) for k, v in template.fixed},
-                    "eigen": template.eigen,
-                    "enumerate": {k: [str(v) for v in vals] for k, vals in template.enumerated},
-                },
-                "degree_bound": args.degree,
-                "certificates": [_cert_block(c) for c in certs],
-                "notes": [PENCIL_SAMPLING_NOTE] + notes,
-            }
-        )
-    _emit_json(args, report)
-    return EXIT_OK
-
-
-def cmd_search_expfactors(args) -> int:
-    cfg = RunConfig("search-expfactors", args)
-    f = _resolve_model(args)
-    _require_degree(args.degree)
-    certs = search_exp_factors(f, args.degree)
-    report = _base_report("search-expfactors", cfg, f)
-    report.update(
-        {
+        body = {
+            "mode": "fixed-cofactor",
+            "cofactor": _poly_block(k.as_poly()),
             "degree_bound": args.degree,
-            "certificates": [_cert_block(c) for c in certs],
+            "kernel_basis": [_poly_block(p) for p in basis],
         }
+        return _report(args, f, body)
+    template = (
+        _template_from_json(args.template_json)
+        if args.template_json
+        else CofactorTemplate.for_field(f, args.degree)
     )
-    _emit_json(args, report)
-    return EXIT_OK
+    certs, notes = search_darboux_pencil(f, template, args.degree)
+    body = {
+        "mode": "pencil",
+        "template": {
+            "fixed": {k: str(v) for k, v in template.fixed},
+            "eigen": template.eigen,
+            "enumerate": {k: [str(v) for v in vals] for k, vals in template.enumerated},
+        },
+        "degree_bound": args.degree,
+        "certificates": [_cert_block(c) for c in certs],
+        "notes": [PENCIL_SAMPLING_NOTE] + notes,
+    }
+    return _report(args, f, body)
+
+
+def cmd_search_expfactors(args) -> dict:
+    f = _resolve_model(args)
+    certs = search_exp_factors(f, args.degree)
+    body = {"degree_bound": args.degree, "certificates": [_cert_block(c) for c in certs]}
+    return _report(args, f, body)
 
 
 def _cert_from_block(blk) -> DarbouxCert:
@@ -472,8 +437,7 @@ def _cert_from_block(blk) -> DarbouxCert:
     return DarbouxCert(kind, body_poly, cof, blk.get("degree_bound_used", 0), primitive)
 
 
-def cmd_combine(args) -> int:
-    cfg = RunConfig("combine", args)
+def cmd_combine(args) -> dict:
     try:
         source = json.loads(Path(args.from_report).read_text())
     except (OSError, ValueError, RecursionError) as exc:  # deep nesting: RecursionError
@@ -501,66 +465,57 @@ def cmd_combine(args) -> int:
         raise CliError("--from: report carries no certificates")
     primitive = [c for c in certs if c.primitive]
     use = primitive if primitive else certs
+    # the log-derivative numerator multiplies every base into X(base)
+    _require_product_degree(sum(c.body.degree for c in use) + f.max_degree())
     combos = combine_cofactors(use, f)
-    report = _base_report("combine", cfg, f)
-    report.update(
-        {
-            "certificates": [_cert_block(c) for c in use],
-            "combinations": [
-                {
-                    "weights": [str(w) for w in combo.weights],
-                    "trivial": combo.trivial,
-                    "log_derivative_numerator": (
-                        None
-                        if combo.trivial
-                        else str(
-                            lie_derivative_log_combination(
-                                f, combination_log_terms(use, combo.weights)
-                            )
-                        )
-                    ),
-                }
-                for combo in combos
-            ],
-        }
-    )
-    _emit_json(args, report)
-    return EXIT_OK
+    body = {
+        "certificates": [_cert_block(c) for c in use],
+        "combinations": [
+            {
+                "weights": [str(w) for w in combo.weights],
+                "trivial": combo.trivial,
+                "log_derivative_numerator": (
+                    None
+                    if combo.trivial
+                    else str(
+                        lie_derivative_log_combination(f, combination_log_terms(use, combo.weights))
+                    )
+                ),
+            }
+            for combo in combos
+        ],
+    }
+    return _report(args, f, body)
 
 
-def cmd_verify(args) -> int:
-    cfg = RunConfig("verify", args)
+def cmd_verify(args) -> dict:
     f = _resolve_model(args)
     k = Cofactor.from_poly(parse_expression(args.cofactor, dict(f.params)))
-    report = _base_report("verify", cfg, f)
     if (args.poly is None) == (args.exp_g is None):
         raise CliError("verify needs exactly one of --poly or --exp-g")
+    lie = f.max_degree() - 1  # X(p) has degree deg p + lie
     if args.poly is not None:
         h = parse_expression(args.poly, dict(f.params))
         if h.is_zero():
             raise CliError("--poly: the zero polynomial is not a Darboux polynomial")
+        _require_product_degree(max(h.degree + lie, h.degree + 1))  # X(h), K*h
         ok = verify_cofactor(f, h, k)
-        report.update({"relation": "X(h) = K*h", "h": _poly_block(h)})
+        body = {"relation": "X(h) = K*h", "h": _poly_block(h)}
     else:
         g = parse_expression(args.exp_g, dict(f.params))
         if args.exp_den is not None:
             den = parse_expression(args.exp_den, dict(f.params))
             if den.is_zero():
                 raise CliError("--exp-den: denominator must be nonzero")
+            # X(g)*h, g*X(h) and L*h^2
+            _require_product_degree(max(g.degree + den.degree + lie, 2 * den.degree + 1))
             ok = verify_exp_factor_rational(f, g, den, k)
-            report.update(
-                {
-                    "relation": "X(g/h) = L",
-                    "g": _poly_block(g),
-                    "denominator": _poly_block(den),
-                }
-            )
+            body = {"relation": "X(g/h) = L", "g": _poly_block(g), "denominator": _poly_block(den)}
         else:
+            _require_product_degree(g.degree + lie)  # X(g)
             ok = verify_exp_factor(f, g, k)
-            report.update({"relation": "X(g) = L", "g": _poly_block(g)})
-    report.update({"cofactor": _poly_block(k.as_poly()), "verified": bool(ok)})
-    _emit_json(args, report)
-    return EXIT_OK
+            body = {"relation": "X(g) = L", "g": _poly_block(g)}
+    return _report(args, f, {**body, "cofactor": _poly_block(k.as_poly()), "verified": bool(ok)})
 
 
 def _step_mode(args) -> StepMode:
@@ -571,7 +526,7 @@ def _step_mode(args) -> StepMode:
     return StepMode.adaptive(args.tolerance)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> str:
     f = _resolve_model(args)
     mode = _step_mode(args)
     traj = integrate(f, args.x0, args.t_end, mode)
@@ -583,8 +538,7 @@ def cmd_simulate(args) -> int:
             f"warning: trajectory truncated at t={traj.truncated_at}: {traj.truncation_reason}",
             file=sys.stderr,
         )
-    _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
 def _drift_block(report_obj) -> dict:
@@ -608,33 +562,27 @@ def _require_hsa_model(f: FieldDef) -> HsaParams:
     return p
 
 
-def cmd_drift(args) -> int:
-    cfg = RunConfig("drift", args)
+def cmd_drift(args) -> dict:
     f = _resolve_model(args)
     p = _require_hsa_model(f)
     spec = IntegralSpec(args.integral, p)
     traj = integrate(f, args.x0, args.t_end, StepMode.fixed(args.h))
-    rep = drift(traj, spec)
-    report = _base_report("drift", cfg, f)
-    report.update({"integral": args.integral, "drift": _drift_block(rep)})
+    body = {"integral": args.integral, "drift": _drift_block(drift(traj, spec))}
     if args.study_h is not None:
         study = step_halving_study(f, args.x0, spec, args.study_h, args.t_end)
-        report["step_halving"] = {
+        body["step_halving"] = {
             "h": args.study_h,
             "drift_h": study.drift_h,
             "drift_half": study.drift_half,
             "ratio": study.ratio,
         }
-    _emit_json(args, report)
-    return EXIT_OK
+    return _report(args, f, body)
 
 
-def cmd_f2_experiment(args) -> int:
-    cfg = RunConfig("f2-experiment", args)
+def cmd_f2_experiment(args) -> dict:
     f = _resolve_model(args)
     p = _require_hsa_model(f)
     traj = integrate(f, args.x0, args.t_end, StepMode.fixed(args.h))
-    report = _base_report("f2-experiment", cfg, f)
     results = {}
     for which in ("F2_paper", "F2_corrected"):
         spec = IntegralSpec(which, p)
@@ -653,16 +601,13 @@ def cmd_f2_experiment(args) -> int:
         winner = "F2_corrected"
     elif rp <= F2_WINNER_TOLERANCE and rc > F2_LOSER_THRESHOLD:
         winner = "F2_paper"
-    report.update(
-        {
-            "variants": results,
-            "winner_tolerance": F2_WINNER_TOLERANCE,
-            "loser_threshold": F2_LOSER_THRESHOLD,
-            "conserved_variant": winner if winner else "inconclusive",
-        }
-    )
-    _emit_json(args, report)
-    return EXIT_OK
+    body = {
+        "variants": results,
+        "winner_tolerance": F2_WINNER_TOLERANCE,
+        "loser_threshold": F2_LOSER_THRESHOLD,
+        "conserved_variant": winner if winner else "inconclusive",
+    }
+    return _report(args, f, body)
 
 
 def _joined_signed_values(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
@@ -691,7 +636,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_joined_signed_values(argv, parser))
     try:
-        return args.func(args)
+        _emit(args, args.func(args))
+        return EXIT_OK
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -34,6 +34,19 @@ PENCIL_SAMPLING_NOTE = (
     "fresh minors; all rational candidates are re-verified exactly"
 )
 
+
+def _check_degree_bound(degree_bound: int) -> None:
+    """Raise ValueError unless 1 <= degree_bound <= HARD_DEGREE_CAP, read at
+    call time."""
+    if degree_bound < 1:
+        raise ValueError(f"degree bound must be >= 1, got {degree_bound}")
+    if degree_bound > HARD_DEGREE_CAP:
+        raise ValueError(
+            f"degree bound {degree_bound} is capped at {HARD_DEGREE_CAP} "
+            "(a bound on run time and memory)"
+        )
+
+
 @dataclass(frozen=True)
 class DarbouxCert:
     """A Darboux polynomial (kind 'polynomial', body h with X(h) = K*h) or an
@@ -91,6 +104,7 @@ class CofactorTemplate:
         rational, D(y + s*x) = s*(y + s*x), and this template misses the
         factors with b1 != 0, such as the paper's F4 factors x -+ 3/2*y -+ 1/2
         of HSA(-4/9, 0, 4/3, 0)."""
+        _check_degree_bound(degree_bound)  # the sweep grows with the bound
         sweep = tuple(Fraction(v) for v in range(degree_bound + 1))
         return cls(
             fixed=(("b1", Fraction(0)), ("b3", Fraction(0))),
@@ -102,10 +116,11 @@ class CofactorTemplate:
     def for_field(cls, f: FieldDef, degree_bound: int) -> "CofactorTemplate":
         """The default template for the dynamo; for any other field, where no
         top-degree relation fixes b2, the same with b2 swept over -n..n."""
+        template = cls.default(degree_bound)
         if hsa_params_of(f) is not None:
-            return cls.default(degree_bound)
+            return template
         sweep = tuple(Fraction(v) for v in range(-degree_bound, degree_bound + 1))
-        return replace(cls.default(degree_bound), enumerated=(("b2", sweep),))
+        return replace(template, enumerated=(("b2", sweep),))
 
 
 @dataclass(frozen=True)
@@ -172,8 +187,7 @@ def _coefficient_spaces(
 ) -> tuple[list[Monomial], dict[Monomial, int]]:
     """The domain monomials (degree min_degree..bound) and the row index of
     the codomain monomials, which span X(h) and K*h for every domain h."""
-    if degree_bound < 1:
-        raise ValueError("degree bound must be >= 1")
+    _check_degree_bound(degree_bound)
     top = max(degree_bound + 1, degree_bound - 1 + max(f.max_degree(), 0), 1)
     index = {m: i for i, m in enumerate(monomials_up_to(top))}
     return monomials_up_to(degree_bound, min_degree), index
@@ -476,13 +490,7 @@ def analyze(
 ) -> Verdict:
     """Run the full pipeline: pencil search for Darboux polynomials, the
     exponential-factor search, and the cofactor combination solve."""
-    if degree_bound < 1:
-        raise ValueError("degree bound must be >= 1")
-    if degree_bound > HARD_DEGREE_CAP:
-        raise ValueError(
-            f"degree bound {degree_bound} above the hard cap {HARD_DEGREE_CAP}, "
-            "a bound on run time and memory"
-        )
+    _check_degree_bound(degree_bound)
     notes: list[str] = []
     if degree_bound > DEFAULT_DEGREE_BOUND:
         notes.append(

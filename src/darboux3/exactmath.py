@@ -428,9 +428,10 @@ def _split(a: list[list[int]], b: list[list[int]]):
     n = len(a[0]) if a else 0
     hits = sorted((j, i, x) for i, row in enumerate(b) for j, x in enumerate(row) if x)
     sel = [i for _, i, _ in hits]
+    selected = set(sel)
     one_value = len({x for *_, x in hits}) <= 1
-    if [j for j, _, _ in hits] == list(range(n)) and len(set(sel)) == n and one_value:
-        rest = [row for i, row in enumerate(a) if i not in set(sel)]
+    if [j for j, _, _ in hits] == list(range(n)) and len(selected) == n and one_value:
+        rest = [row for i, row in enumerate(a) if i not in selected]
         return [a[i] for i in sel], hits[0][2] if hits else 1, rest
     raise MalformedPencilError("b is not one value times a selection of one row per column")
 

@@ -1,11 +1,13 @@
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -389,6 +391,17 @@ class TestSearchCommands:
             main(["search-darboux"] + HSA_1011 + ["--template-json", "{bad json"]) == 2
         )
 
+    @pytest.mark.parametrize("model", [HSA_1011, ["--field", "f.txt"]], ids=["hsa", "field"])
+    def test_huge_degree_refused_before_the_b2_sweep_is_built(
+        self, tmp_path, monkeypatch, capsys, model
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.txt").write_text("dx = x\ndy = y\ndz = z\n")
+        start = time.perf_counter()
+        assert main(["search-darboux", *model, "--degree", str(10**9)]) == 2
+        assert time.perf_counter() - start < 2
+        assert "capped at 6 (a bound on run time and memory)" in capsys.readouterr().err
+
     def test_expfactors(self, tmp_path):
         code, report = run_json(tmp_path, ["search-expfactors"] + HSA_1111 + ["--degree", "2"])
         assert code == 0
@@ -757,3 +770,103 @@ class TestCrossProcessStability:
         code, report = run_json(tmp_path, ["search-darboux"] + HSA_1011 + ["--degree", "2"])
         assert code == 0
         assert any("minor sampling" in note for note in report["notes"])
+
+
+# One command per subcommand (both search-darboux modes, the three verify
+# relations), run in a directory that holds analysis.json, combine's input.
+REPORT_COMMANDS = {
+    "analyze": ["analyze", *HSA_1001, "--degree", "2"],
+    "search-darboux-pencil": ["search-darboux", *HSA_1011, "--degree", "2"],
+    "search-darboux-fixed": ["search-darboux", *HSA_1011, "--degree", "2", "--cofactor", "y-1"],
+    "search-expfactors": ["search-expfactors", *HSA_1111, "--degree", "2"],
+    "verify-poly": ["verify", *HSA_1011, "--poly", "x", "--cofactor", "y-1"],
+    "verify-exp": ["verify", *HSA_1111, "--exp-g", "z", "--cofactor", "x-z"],
+    "verify-exp-den": ["verify", *HSA_1111, "--exp-g", "z", "--exp-den", "x+1", "--cofactor", "x-z"],
+    "combine": ["combine", "--from", "analysis.json"],
+    "simulate": ["simulate", *HSA_1001, "--x0", "0.5,0.2,0.1", "--t-end", "0.01", "--h", "0.001"],
+    "drift": ["drift", *HSA_1001, "--integral", "F1", "--x0", "0.5,0.2,0.1", "--t-end", "0.1"],
+    "f2-experiment": ["f2-experiment", *HSA_1001, "--x0", "0.5,1.5,0.1", "--t-end", "0.1"],
+}
+# sha256 of the exact commands' stdout, as recorded before every command
+# returned its report for main to write
+REPORT_SHA256 = {
+    "analyze": "f5ed81ef19d1a2e8edc547026ea6002c71efbf18c055d41f8ddaa05e141e65cc",
+    "search-darboux-pencil": "b1bf1478438715dd308f6ad070e9b858120a6577360c3cc5209f856a5f7d9ebb",
+    "search-darboux-fixed": "6fc66384efceb2add983f67fb2518eb1f44638c24d71b738f3a1bbffdaf823e0",
+    "search-expfactors": "b5d39d0e3fa4600de05bc9a3ac6608a95e2537c7ee58814238861e42ea663527",
+    "verify-poly": "a643df7ac8ddddafa4683610554919509a53c295967c6c778ae54ba2bccc1ccd",
+    "verify-exp": "9439a4982543542873701f1a9d6770d48b41275fbf2f46f6a9b96bbed6d3fa20",
+    "verify-exp-den": "7bee6ed0f59b3a37cf0b0531aca34b461b96682278dca0803abe1c2d7d6cca6a",
+    "combine": "ee6ce271acbfc5192b895b1b06236ff473b156fcb9bcf7d2659430af3c36b885",
+}
+REPORT_HEADER = ["schema", "tool", "version", "command", "seed", "config", "model"]
+
+
+def command_stdout(args) -> bytes:
+    """stdout of main(args), run in the current directory after writing
+    analysis.json there."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["analyze", *HSA_1001, "--degree", "2", "--out", "analysis.json"]) == 0
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(args) == 0
+    return out.getvalue().encode()
+
+
+@pytest.mark.parametrize("name", REPORT_COMMANDS)
+def test_one_writer_for_every_command(name, tmp_path, monkeypatch):
+    args = REPORT_COMMANDS[name]
+    monkeypatch.chdir(tmp_path)
+    stdout = command_stdout(args)
+    assert main(args + ["--out", "report.out"]) == 0
+    assert (tmp_path / "report.out").read_bytes() == stdout
+    if name != "simulate":
+        report = json.loads(stdout)
+        assert list(report)[: len(REPORT_HEADER)] == REPORT_HEADER
+        assert report["command"] == args[0]
+    if name in REPORT_SHA256:
+        assert hashlib.sha256(stdout).hexdigest() == REPORT_SHA256[name]
+
+
+class TestProductDegreeCap:
+    """verify and combine refuse a relation whose largest product has degree
+    above fieldspec.MAX_DEGREE (32), before forming any product."""
+
+    @pytest.mark.parametrize(
+        "relation",
+        [
+            ["--exp-g", "(x+y+z+1)^16", "--exp-den", "(x+2*y+z+3)^16"],  # 2*16 + 2 - 1 = 33
+            ["--exp-g", "(x+y+z+1)^20", "--exp-den", "(x+2*y+z+3)^20"],
+            ["--poly", "x^32"],  # K*h: 33
+            ["--exp-g", "x^32"],  # X(g): 32 + 2 - 1 = 33
+        ],
+        ids=["exp-den-16", "exp-den-20", "poly", "exp-g"],
+    )
+    def test_verify_exits_2_fast(self, capsys, relation):
+        start = time.perf_counter()
+        assert main(["verify", *HSA_1111, *relation, "--cofactor", "1"]) == 2
+        assert time.perf_counter() - start < 2
+        assert "above the cap of 32" in capsys.readouterr().err
+
+    def test_verify_at_the_cap_runs(self, tmp_path):
+        code, report = run_json(tmp_path, ["verify", *HSA_1111, "--poly", "x^31", "--cofactor", "1"])
+        assert code == 0 and report["verified"] is False
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_combine_exits_2_fast(self, tmp_path, capsys, n):
+        # X((x+y+z+1)^k) = k*(x+y+z+1)^k; the bodies' degrees and the field's sum to 39 or 51
+        certs = [
+            {
+                "kind": "polynomial",
+                "body": {"text": f"(x+y+z+1)^{k}"},
+                "cofactor": {"text": str(k)},
+                "primitive": True,
+            }
+            for k in range(8, 8 + n)
+        ]
+        model = {"dx": "x+y+z+1", "dy": "0", "dz": "0"}
+        (tmp_path / "r.json").write_text(json.dumps({"model": model, "certificates": certs}))
+        start = time.perf_counter()
+        assert main(["combine", "--from", str(tmp_path / "r.json")]) == 2
+        assert time.perf_counter() - start < 2
+        assert "above the cap of 32" in capsys.readouterr().err
