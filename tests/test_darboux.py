@@ -328,30 +328,6 @@ class TestAnalyze:
         with pytest.raises(ValueError):
             analyze(hsa(1, 1, 1, 1), 7)
 
-
-# a template built by hand: CofactorTemplate.default refuses degree 7 itself
-PINNED_B2 = CofactorTemplate(fixed=(("b1", 0), ("b3", 0)), eigen="b0", enumerated=(("b2", (0,)),))
-SEARCHES = {
-    "pencil": lambda f, n: search_darboux_pencil(f, PINNED_B2, n),
-    "exp-factors": search_exp_factors,
-    "fixed": lambda f, n: search_darboux_fixed(f, Cofactor(), n),
-}
-
-
-@pytest.mark.parametrize("search", SEARCHES.values(), ids=SEARCHES)
-def test_searches_refuse_degrees_above_the_cap(search):
-    with pytest.raises(ValueError, match=r"capped at 6 \(a bound on run time and memory\)"):
-        search(hsa(1, 1, 1, 1), 7)
-
-
-@pytest.mark.parametrize("search", SEARCHES.values(), ids=SEARCHES)
-def test_searches_read_the_cap_at_call_time(search, monkeypatch):
-    from darboux3 import darboux
-
-    monkeypatch.setattr(darboux, "HARD_DEGREE_CAP", 1)
-    with pytest.raises(ValueError, match="capped at 1"):
-        search(hsa(1, 1, 1, 1), 2)
-
     def test_non_hsa_field_gets_disclaimer(self):
         from darboux3.fieldspec import parse_field
 
@@ -391,6 +367,30 @@ def test_searches_read_the_cap_at_call_time(search, monkeypatch):
                 [(c.body, c.cofactor) for c in search_exp_factors(hsa(*params), 4)], 4
             )
             assert span2 == span4
+
+
+# a template built by hand: CofactorTemplate.default refuses degree 7 itself
+PINNED_B2 = CofactorTemplate(fixed=(("b1", 0), ("b3", 0)), eigen="b0", enumerated=(("b2", (0,)),))
+SEARCHES = {
+    "pencil": lambda f, n: search_darboux_pencil(f, PINNED_B2, n),
+    "exp-factors": search_exp_factors,
+    "fixed": lambda f, n: search_darboux_fixed(f, Cofactor(), n),
+}
+
+
+@pytest.mark.parametrize("search", SEARCHES.values(), ids=SEARCHES)
+def test_searches_refuse_degrees_above_the_cap(search):
+    with pytest.raises(ValueError, match=r"capped at 6 \(a bound on run time and memory\)"):
+        search(hsa(1, 1, 1, 1), 7)
+
+
+@pytest.mark.parametrize("search", SEARCHES.values(), ids=SEARCHES)
+def test_searches_read_the_cap_at_call_time(search, monkeypatch):
+    from darboux3 import darboux
+
+    monkeypatch.setattr(darboux, "HARD_DEGREE_CAP", 1)
+    with pytest.raises(ValueError, match="capped at 1"):
+        search(hsa(1, 1, 1, 1), 2)
 
 
 class TestWiderParameterOracle:
